@@ -8,8 +8,11 @@
 //!
 //! * [`alia_sim::System::fork`] — the base topology is built and
 //!   driven once to a mid-mission snapshot, then every campaign run
-//!   forks it (copy-on-write dirty-page copies, detached wires) instead
-//!   of re-assembling and re-warming the world;
+//!   forks it instead of re-assembling and re-warming the world: the
+//!   forks share the base's memory pages and warm code caches
+//!   copy-on-write (a run copies only the pages and cache chunks it
+//!   writes; a flipped flash bit empties that run's caches alone) and
+//!   get detached copies of the wires;
 //! * [`crate::campaign::run_campaign`] — runs fan out over a worker
 //!   pool and merge into a key-ordered, thread-count-independent
 //!   summary;

@@ -64,10 +64,14 @@
 //!   (`alia_isa::decode_window`), LDM staging uses a fixed register
 //!   buffer, IT blocks expand into an inline [`ItQueue`], and the IRQ
 //!   drain is allocation-free.
-//! * **Pooled, dirty-page-tracked memory arrays**: flash and SRAM
-//!   buffers are recycled through a thread-local pool, zeroing only the
-//!   4 KiB pages a run actually wrote. Machine construction is O(pages
-//!   touched), not O(address space) — ~0.3 µs instead of ~80 µs.
+//! * **Copy-on-write memory and code caches** (`cow`): flash, SRAM and
+//!   TCM are 4 KiB pages, and the predecode, block and threaded caches
+//!   are slot chunks, each array one `Arc`-shared frozen table plus the
+//!   pages or chunks its copy has written. An unwritten page reads as
+//!   zero and costs nothing, so `Machine::new` allocates no backing
+//!   memory; [`Machine::snapshot`] and [`System::fork`] share the tables
+//!   (O(1) refcounts per array), and each copy copies a page or chunk on
+//!   its own first write.
 //!
 //! `cargo bench -p alia-bench --bench sim_throughput` measures guest
 //! MIPS; the `table1` bench measures the full experiment pipeline.
@@ -102,6 +106,7 @@
 
 pub mod bus;
 mod cache;
+mod cow;
 mod cpu;
 pub mod devices;
 pub mod dma;

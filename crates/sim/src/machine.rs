@@ -286,9 +286,11 @@ fn never_in_block(instr: &Instr) -> bool {
 /// A frozen copy of a [`Machine`] taken by [`Machine::snapshot`]:
 /// restore it into the source machine ([`Machine::restore`]) or fork
 /// any number of independent machines from it
-/// ([`MachineSnapshot::to_machine`]). Cloning a snapshot is a dirty-page
-/// copy, so fanning a warmed-up machine across a campaign costs
-/// microseconds per fork, not memsets of the address space.
+/// ([`MachineSnapshot::to_machine`]). Every fork shares the snapshot's
+/// memory pages and code caches and copies a page or cache chunk only
+/// on its own first write to it, so fanning a warmed-up machine across
+/// a campaign costs a few refcounts per fork, not copies of the address
+/// space.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     state: Box<Machine>,
@@ -493,10 +495,19 @@ impl Machine {
         Machine::new(MachineConfig::high_end_like())
     }
 
-    /// A point-in-time copy of the whole machine: CPU, memories
-    /// (dirty-page copies — cost proportional to the touched footprint,
-    /// not the address-space size), devices, IRQ state, predecode and
-    /// block caches, WFI-park state. Restoring ([`Machine::restore`]) or
+    /// A point-in-time copy of the whole machine: CPU, memories, devices,
+    /// IRQ state, predecode, block and threaded caches, WFI-park state.
+    ///
+    /// Memories and caches are copy-on-write ([`crate::predecode`] has
+    /// the cache side): the copy and this machine share one frozen
+    /// table per array, and each copies a 4 KiB page or cache chunk on
+    /// its own first write to it. The first snapshot after a burst of
+    /// writes freezes the pages written since the last one (cost
+    /// proportional to that footprint); later snapshots of the
+    /// unchanged machine reuse that freeze, so a snapshot costs O(1)
+    /// refcounts per array, never a copy of the address space.
+    ///
+    /// Restoring ([`Machine::restore`]) or
     /// materializing ([`MachineSnapshot::to_machine`]) yields a machine
     /// that runs bit-identically to the original from the snapshot
     /// point — including snapshots taken mid-block or inside a parked
@@ -2492,8 +2503,7 @@ mod tests {
     fn snapshot_forks_diverge_on_divergent_inputs() {
         // Two forks of one snapshot, one of them with a poked SRAM cell
         // the guest reads *after* the fork point: results must differ —
-        // the forks share no storage (the dirty-page copy is a real
-        // copy).
+        // the poking fork copies the shared page on its first write.
         let src = "movw r0, #0x0040
              movt r0, #0x2000
              movw r1, #2000

@@ -16,154 +16,124 @@
 //! stream — so a literal-pool data fetch in the middle of an instruction
 //! stream is charged twice: once for itself and once by un-streaming the
 //! next fetch.
+//!
+//! Flash, SRAM and TCM store their bytes as copy-on-write 4 KiB pages
+//! (`crates/sim/src/cow.rs`). A page no one has written reads as zero
+//! and has no backing memory, so a new array allocates nothing; a clone
+//! shares every page and copies one only on its own first write to it,
+//! so snapshots and forks cost the pages a run touches, not the address
+//! space. There is no whole-array slice: read through `peek` / `read`,
+//! write through `load` / `write`.
 
 use std::fmt;
 
-/// Backing storage for the large zeroed memory arrays (flash, SRAM).
-///
-/// Allocating a machine used to cost two ~1 MiB `vec![0; n]` zeroings —
-/// after the allocator starts recycling arena memory, that is a 2 MiB
-/// memset per `Machine::new`, which dominated short experiment runs. This
-/// wrapper keeps a thread-local pool of *already-zeroed* buffers: on drop
-/// it zeroes only the 4 KiB pages that were actually written (tracked
-/// with a one-bit-per-page map on the store path) and returns the buffer
-/// to the pool; on construction it takes a pooled buffer when one fits.
-/// Net effect: steady-state machine construction zeroes only the pages a
-/// run touched (typically a handful), not the whole address space.
-mod zeroed {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
+use crate::cow::CowTable;
 
-    /// Page granularity for dirty tracking (4 KiB).
-    const PAGE_SHIFT: u32 = 12;
-    /// Buffers smaller than this skip the pool (cheap to allocate fresh).
-    const POOL_MIN: usize = 64 << 10;
-    /// Retained buffers per size class per thread.
-    const POOL_CAP: usize = 8;
+/// Page size of the memory arrays, as a shift (4 KiB).
+const PAGE_SHIFT: u32 = 12;
+/// Bytes per page.
+const PAGE: usize = 1 << PAGE_SHIFT;
 
-    thread_local! {
-        static POOL: RefCell<HashMap<usize, Vec<Vec<u8>>>> = RefCell::new(HashMap::new());
-    }
+/// What an absent page reads as.
+static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
 
-    /// A zero-initialized byte array with page-granular dirty tracking.
-    ///
-    /// Invariant: every byte outside a dirty page is zero.
-    #[derive(Debug)]
-    pub struct ZeroedBytes {
-        buf: Vec<u8>,
-        dirty: Vec<u64>,
-    }
-
-    /// Dirty-page copy: the clone takes a pooled pre-zeroed buffer and
-    /// copies only the pages the original has written — the same-content
-    /// guarantee follows from the all-zero-outside-dirty invariant. This
-    /// is what makes `Machine::snapshot`/`System::fork` cost
-    /// proportional to the *touched* footprint (typically a few pages),
-    /// not the address-space size.
-    impl Clone for ZeroedBytes {
-        fn clone(&self) -> ZeroedBytes {
-            let mut out = ZeroedBytes::new(self.buf.len());
-            let page = 1usize << PAGE_SHIFT;
-            for (w, &bits) in self.dirty.iter().enumerate() {
-                if bits == 0 {
-                    continue;
-                }
-                for b in 0..64 {
-                    if bits & 1 << b != 0 {
-                        let start = (w * 64 + b) * page;
-                        if start < self.buf.len() {
-                            let end = (start + page).min(self.buf.len());
-                            out.buf[start..end].copy_from_slice(&self.buf[start..end]);
-                        }
-                    }
-                }
-            }
-            out.dirty.copy_from_slice(&self.dirty);
-            out
-        }
-    }
-
-    impl ZeroedBytes {
-        pub fn new(size: usize) -> ZeroedBytes {
-            let buf = if size >= POOL_MIN {
-                POOL.with(|p| p.borrow_mut().get_mut(&size).and_then(Vec::pop))
-                    .unwrap_or_else(|| vec![0; size])
-            } else {
-                vec![0; size]
-            };
-            let pages = size.div_ceil(1 << PAGE_SHIFT);
-            ZeroedBytes { buf, dirty: vec![0; pages.div_ceil(64)] }
-        }
-
-        /// Marks the pages covering `off..off + len` as written.
-        #[inline]
-        pub fn mark(&mut self, off: u32, len: u32) {
-            let first = off >> PAGE_SHIFT;
-            let last = (off + len.max(1) - 1) >> PAGE_SHIFT;
-            for p in first..=last {
-                self.dirty[(p >> 6) as usize] |= 1 << (p & 63);
-            }
-        }
-
-        /// Marks every page as written (out-of-band mutable access).
-        pub fn mark_all(&mut self) {
-            self.dirty.fill(!0);
-        }
-
-        #[inline]
-        pub fn as_slice(&self) -> &[u8] {
-            &self.buf
-        }
-
-        #[inline]
-        pub fn as_mut_slice(&mut self) -> &mut [u8] {
-            &mut self.buf
-        }
-    }
-
-    impl Drop for ZeroedBytes {
-        fn drop(&mut self) {
-            if self.buf.len() < POOL_MIN {
-                return;
-            }
-            // Zeroing is only worthwhile if the pool will retain the
-            // buffer; a full size class means it is simply freed.
-            let wanted = POOL.with(|p| {
-                p.borrow().get(&self.buf.len()).is_none_or(|c| c.len() < POOL_CAP)
-            });
-            if !wanted {
-                return;
-            }
-            // Restore the all-zero invariant (only dirty pages can hold
-            // nonzero bytes), then hand the buffer to the pool.
-            let page = 1usize << PAGE_SHIFT;
-            for (w, &bits) in self.dirty.iter().enumerate() {
-                if bits == 0 {
-                    continue;
-                }
-                for b in 0..64 {
-                    if bits & 1 << b != 0 {
-                        let start = (w * 64 + b) * page;
-                        let end = (start + page).min(self.buf.len());
-                        if start < self.buf.len() {
-                            self.buf[start..end].fill(0);
-                        }
-                    }
-                }
-            }
-            let buf = std::mem::take(&mut self.buf);
-            POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                let class = pool.entry(buf.len()).or_default();
-                if class.len() < POOL_CAP {
-                    class.push(buf);
-                }
-            });
-        }
-    }
+/// A byte array of `len` bytes stored as copy-on-write 4 KiB pages (see
+/// [`crate::cow`]): a page nobody has written reads as zero and costs
+/// nothing, a fork shares every page, and a store copies its page on
+/// the copy's first write to it.
+#[derive(Debug, Clone)]
+struct Pages {
+    table: CowTable<u8, PAGE>,
+    len: u32,
 }
 
-use zeroed::ZeroedBytes;
+impl Pages {
+    fn new(len: u32) -> Pages {
+        Pages { table: CowTable::new(), len }
+    }
+
+    /// Little-endian scalar read of `len.min(4)` bytes at `off`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the access runs past the end of the array.
+    #[inline]
+    fn read(&self, off: u32, len: u32) -> u32 {
+        let n = len.min(4);
+        self.check(off, n);
+        let o = off as usize & (PAGE - 1);
+        if o + n as usize <= PAGE {
+            let page = self.table.chunk((off >> PAGE_SHIFT) as usize).unwrap_or(&ZERO_PAGE);
+            return read_le(page, o, n);
+        }
+        // Straddles a page boundary: byte by byte.
+        let mut v = 0u32;
+        for i in (0..n).rev() {
+            v = v << 8 | u32::from(self.byte(off + i));
+        }
+        v
+    }
+
+    /// Little-endian scalar write of the low `len.min(4)` bytes of
+    /// `value` at `off`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the access runs past the end of the array.
+    #[inline]
+    fn write(&mut self, off: u32, len: u32, value: u32) {
+        let n = len.min(4);
+        self.check(off, n);
+        let o = off as usize & (PAGE - 1);
+        if o + n as usize <= PAGE {
+            let page = self.table.chunk_mut((off >> PAGE_SHIFT) as usize);
+            write_le(page, o, n, value);
+            return;
+        }
+        for i in 0..n {
+            let at = off + i;
+            self.table.chunk_mut((at >> PAGE_SHIFT) as usize)[at as usize & (PAGE - 1)] =
+                (value >> (8 * i)) as u8;
+        }
+    }
+
+    /// Copies `image` in at `off`, page by page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image does not fit.
+    fn load(&mut self, off: u32, image: &[u8]) {
+        assert!(
+            off as usize + image.len() <= self.len as usize,
+            "image of {} bytes at {off:#x} overruns {} bytes",
+            image.len(),
+            self.len
+        );
+        let mut at = off as usize;
+        let mut rest = image;
+        while !rest.is_empty() {
+            let o = at & (PAGE - 1);
+            let n = (PAGE - o).min(rest.len());
+            self.table.chunk_mut(at >> PAGE_SHIFT)[o..o + n].copy_from_slice(&rest[..n]);
+            at += n;
+            rest = &rest[n..];
+        }
+    }
+
+    #[inline]
+    fn byte(&self, off: u32) -> u8 {
+        self.table.get(off as usize).copied().unwrap_or(0)
+    }
+
+    #[inline]
+    fn check(&self, off: u32, len: u32) {
+        assert!(
+            u64::from(off) + u64::from(len) <= u64::from(self.len),
+            "access of {len} bytes at {off:#x} overruns {} bytes",
+            self.len
+        );
+    }
+}
 
 /// Default flash base address.
 pub const FLASH_BASE: u32 = 0x0000_0000;
@@ -271,7 +241,7 @@ pub struct FlashStats {
 /// Wait-stated flash with a streaming prefetch model.
 #[derive(Debug, Clone)]
 pub struct Flash {
-    bytes: ZeroedBytes,
+    bytes: Pages,
     config: FlashConfig,
     stream_next: Option<u32>,
     stats: FlashStats,
@@ -279,11 +249,12 @@ pub struct Flash {
 }
 
 impl Flash {
-    /// Creates a flash of `config.size` zeroed bytes.
+    /// Creates a flash of `config.size` zeroed bytes (no backing memory
+    /// until a page is written).
     #[must_use]
     pub fn new(config: FlashConfig) -> Flash {
         Flash {
-            bytes: ZeroedBytes::new(config.size as usize),
+            bytes: Pages::new(config.size),
             config,
             stream_next: None,
             stats: FlashStats::default(),
@@ -291,10 +262,9 @@ impl Flash {
         }
     }
 
-    /// Content revision: bumped by every mutable access to the array
-    /// ([`Flash::load`], [`Flash::bytes_mut`]). Consumers caching decoded
-    /// views of flash (the machine's predecode cache) compare revisions
-    /// to detect staleness.
+    /// Content revision: bumped by every [`Flash::load`]. Consumers
+    /// caching decoded views of flash (the machine's predecode cache)
+    /// compare revisions to detect staleness.
     #[must_use]
     pub fn revision(&self) -> u64 {
         self.revision
@@ -306,9 +276,7 @@ impl Flash {
     ///
     /// Panics if the image does not fit.
     pub fn load(&mut self, offset: u32, image: &[u8]) {
-        let o = offset as usize;
-        self.bytes.mark(offset, image.len() as u32);
-        self.bytes.as_mut_slice()[o..o + image.len()].copy_from_slice(image);
+        self.bytes.load(offset, image);
         self.revision += 1;
     }
 
@@ -328,20 +296,6 @@ impl Flash {
     pub fn reset_stats(&mut self) {
         self.stats = FlashStats::default();
         self.stream_next = None;
-    }
-
-    /// Raw contents (offset-addressed).
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_slice()
-    }
-
-    /// Mutable raw contents. Conservatively counts as a content mutation
-    /// (bumps [`Flash::revision`]).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.revision += 1;
-        self.bytes.mark_all();
-        self.bytes.as_mut_slice()
     }
 
     /// Performs an access of `len` bytes at byte offset `off`, returning
@@ -399,45 +353,39 @@ impl Flash {
     /// Reads without affecting timing state.
     #[must_use]
     pub fn peek(&self, off: u32, len: u32) -> u32 {
-        read_le(self.bytes.as_slice(), off, len)
+        self.bytes.read(off, len)
     }
 }
 
-/// Little-endian scalar read of `len.min(4)` bytes at `off`.
-///
-/// # Panics
-///
-/// Panics when the access runs past the end of `bytes` (same contract as
-/// direct indexing).
+/// Little-endian scalar read of `len` (at most 4) bytes at byte `o` of
+/// `bytes`.
 #[inline]
-fn read_le(bytes: &[u8], off: u32, len: u32) -> u32 {
-    let o = off as usize;
+fn read_le(bytes: &[u8], o: usize, len: u32) -> u32 {
     match len {
         4 => u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4-byte slice")),
         2 => u32::from(u16::from_le_bytes(bytes[o..o + 2].try_into().expect("2-byte slice"))),
         1 => u32::from(bytes[o]),
-        0 => 0,
         _ => {
             let mut v = 0u32;
-            for i in (0..len.min(4)).rev() {
-                v = v << 8 | u32::from(bytes[(off + i) as usize]);
+            for i in (0..len as usize).rev() {
+                v = v << 8 | u32::from(bytes[o + i]);
             }
             v
         }
     }
 }
 
-/// Little-endian scalar write of the low `len.min(4)` bytes of `value`.
+/// Little-endian scalar write of the low `len` (at most 4) bytes of
+/// `value` at byte `o` of `bytes`.
 #[inline]
-fn write_le(bytes: &mut [u8], off: u32, len: u32, value: u32) {
-    let o = off as usize;
+fn write_le(bytes: &mut [u8], o: usize, len: u32, value: u32) {
     match len {
         4 => bytes[o..o + 4].copy_from_slice(&value.to_le_bytes()),
         2 => bytes[o..o + 2].copy_from_slice(&(value as u16).to_le_bytes()),
         1 => bytes[o] = value as u8,
         _ => {
-            for i in 0..len.min(4) {
-                bytes[(off + i) as usize] = (value >> (8 * i)) as u8;
+            for i in 0..len as usize {
+                bytes[o + i] = (value >> (8 * i)) as u8;
             }
         }
     }
@@ -446,18 +394,18 @@ fn write_le(bytes: &mut [u8], off: u32, len: u32, value: u32) {
 /// Single-cycle SRAM.
 #[derive(Debug, Clone)]
 pub struct Sram {
-    bytes: ZeroedBytes,
-    size: u32,
+    bytes: Pages,
     /// Cycles per access.
     pub cycles: u32,
     revision: u64,
 }
 
 impl Sram {
-    /// Creates `size` zeroed bytes of single-cycle RAM.
+    /// Creates `size` zeroed bytes of single-cycle RAM (no backing
+    /// memory until a page is written).
     #[must_use]
     pub fn new(size: u32) -> Sram {
-        Sram { bytes: ZeroedBytes::new(size as usize), size, cycles: 1, revision: 0 }
+        Sram { bytes: Pages::new(size), cycles: 1, revision: 0 }
     }
 
     /// Loads an image at byte offset `off` (host-side bulk write; bumps
@@ -467,15 +415,13 @@ impl Sram {
     ///
     /// Panics if the image does not fit.
     pub fn load(&mut self, off: u32, image: &[u8]) {
-        let o = off as usize;
-        self.bytes.mark(off, image.len() as u32);
-        self.bytes.as_mut_slice()[o..o + image.len()].copy_from_slice(image);
+        self.bytes.load(off, image);
         self.revision += 1;
     }
 
-    /// Host-side content revision: bumped by [`Sram::bytes_mut`] (bulk /
-    /// out-of-band mutation). Per-access [`Sram::write`] is *not* counted
-    /// here — simulated stores are tracked by the machine's predecode
+    /// Host-side content revision: bumped by [`Sram::load`] and
+    /// [`Sram::write`]. Simulated stores (`Sram::write_raw`) are *not*
+    /// counted here — they are tracked by the machine's predecode
     /// watermark instead, keeping the store path cheap.
     #[must_use]
     pub fn revision(&self) -> u64 {
@@ -485,34 +431,24 @@ impl Sram {
     /// Size in bytes.
     #[must_use]
     pub fn len(&self) -> u32 {
-        self.size
+        self.bytes.len
     }
 
     /// Whether the RAM is empty (zero-sized).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.size == 0
-    }
-
-    /// Raw contents.
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_slice()
-    }
-
-    /// Mutable raw contents. Conservatively counts as a content mutation
-    /// (bumps [`Sram::revision`]).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.revision += 1;
-        self.bytes.mark_all();
-        self.bytes.as_mut_slice()
+        self.bytes.len == 0
     }
 
     /// Reads `len` bytes at offset `off` (little-endian).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the access runs past the end of the RAM.
     #[must_use]
     #[inline]
     pub fn read(&self, off: u32, len: u32) -> u32 {
-        read_le(self.bytes.as_slice(), off, len)
+        self.bytes.read(off, len)
     }
 
     /// Writes the low `len` bytes of `value` at offset `off`.
@@ -528,9 +464,9 @@ impl Sram {
 
     /// Simulated-store write: no revision bump (the caller is responsible
     /// for code-coherence tracking — see `Machine::note_code_write`).
+    #[inline]
     pub(crate) fn write_raw(&mut self, off: u32, len: u32, value: u32) {
-        self.bytes.mark(off, len);
-        write_le(self.bytes.as_mut_slice(), off, len, value);
+        self.bytes.write(off, len, value);
     }
 }
 
@@ -539,11 +475,16 @@ impl Sram {
 /// A poisoned word is corrected in place the next time it is read: the
 /// processor is stalled for [`Tcm::repair_cycles`] and execution continues
 /// without an interrupt, exactly as the paper describes.
+///
+/// The ECC-protected truth differs from the array only in poisoned
+/// words, so the model keeps just those: a short list of
+/// `(word index, true value)` pairs. Stores keep each poisoned word's
+/// truth up to date byte by byte; a repair writes it back.
 #[derive(Debug, Clone)]
 pub struct Tcm {
     ram: Sram,
-    poisoned: Vec<bool>, // per word
-    shadow: Vec<u8>,     // ECC-protected truth
+    /// `(word index, true value)` of every poisoned word.
+    poisoned: Vec<(u32, u32)>,
     /// Whether ECC protection is fitted.
     pub ecc: bool,
     /// Stall cycles for one hold-and-repair event.
@@ -558,8 +499,7 @@ impl Tcm {
     pub fn new(size: u32) -> Tcm {
         Tcm {
             ram: Sram::new(size),
-            poisoned: vec![false; (size / 4) as usize],
-            shadow: vec![0; size as usize],
+            poisoned: Vec::new(),
             ecc: true,
             repair_cycles: 4,
             repairs: 0,
@@ -584,34 +524,38 @@ impl Tcm {
     /// Flips bit `bit` of the word at offset `off`, marking it poisoned
     /// (a soft error).
     pub fn inject_bit_flip(&mut self, off: u32, bit: u32) {
-        let word = self.ram.read(off & !3, 4) ^ (1 << (bit & 31));
-        self.ram.write_raw(off & !3, 4, word);
-        self.poisoned[(off / 4) as usize] = true;
+        let base = off & !3;
+        let word = self.ram.read(base, 4);
+        if !self.is_poisoned(off) {
+            self.poisoned.push((off / 4, word));
+        }
+        self.ram.write_raw(base, 4, word ^ (1 << (bit & 31)));
         self.revision += 1;
     }
 
     /// Whether the word containing `off` is currently poisoned.
     #[must_use]
     pub fn is_poisoned(&self, off: u32) -> bool {
-        self.poisoned[(off / 4) as usize]
+        self.poisoned.iter().any(|&(w, _)| w == off / 4)
     }
 
     /// Reads with hold-and-repair; returns `(value, cycles)`.
+    #[inline]
     pub fn read(&mut self, off: u32, len: u32) -> (u32, u32) {
         let mut cycles = 1;
-        let widx = (off / 4) as usize;
-        if self.ecc && self.poisoned[widx] {
-            // Repair from the ECC shadow copy, stall, continue.
-            let base = off & !3;
-            self.ram.write_raw(base, 4, read_le(&self.shadow, base, 4));
-            self.poisoned[widx] = false;
-            self.repairs += 1;
-            cycles += self.repair_cycles;
+        if self.ecc && !self.poisoned.is_empty() {
+            if let Some(i) = self.poisoned.iter().position(|&(w, _)| w == off / 4) {
+                // Repair from the ECC-held truth, stall, continue.
+                let (_, truth) = self.poisoned.swap_remove(i);
+                self.ram.write_raw(off & !3, 4, truth);
+                self.repairs += 1;
+                cycles += self.repair_cycles;
+            }
         }
         (self.ram.read(off, len), cycles)
     }
 
-    /// Writes; keeps the ECC shadow in sync. Returns cycles.
+    /// Writes; keeps the ECC truth in sync. Returns cycles.
     ///
     /// This is the *host-side* entry point and conservatively counts as a
     /// content mutation (bumps [`Tcm::revision`], invalidating any cached
@@ -624,24 +568,39 @@ impl Tcm {
 
     /// Simulated-store write: no revision bump (the caller is responsible
     /// for code-coherence tracking — see `Machine::note_code_write`).
+    #[inline]
     pub(crate) fn write_raw(&mut self, off: u32, len: u32, value: u32) -> u32 {
         self.ram.write_raw(off, len, value);
-        for i in 0..len.min(4) {
-            self.shadow[(off + i) as usize] = (value >> (8 * i)) as u8;
-        }
-        // A full-word write clears poison (the word is rewritten whole).
-        if len == 4 {
-            self.poisoned[(off / 4) as usize] = false;
+        if !self.poisoned.is_empty() {
+            let bytes = value.to_le_bytes();
+            self.sync_truth(off, &bytes[..len.min(4) as usize]);
+            // A full-word write clears poison (the word is rewritten whole).
+            if len == 4 {
+                self.poisoned.retain(|&(w, _)| w != off / 4);
+            }
         }
         1
     }
 
-    /// Loads an image and synchronizes the ECC shadow.
+    /// Loads an image and keeps the ECC truth in sync.
     pub fn load(&mut self, off: u32, image: &[u8]) {
-        let o = off as usize;
         self.ram.load(off, image);
-        self.shadow[o..o + image.len()].copy_from_slice(image);
+        self.sync_truth(off, image);
         self.revision += 1;
+    }
+
+    /// Writes `bytes` at `off` into the truth of every poisoned word
+    /// they overlap (the array itself already holds them).
+    fn sync_truth(&mut self, off: u32, bytes: &[u8]) {
+        for (w, truth) in &mut self.poisoned {
+            let mut t = truth.to_le_bytes();
+            for (i, b) in (*w * 4..).zip(&mut t) {
+                if let Some(&new) = i.checked_sub(off).and_then(|k| bytes.get(k as usize)) {
+                    *b = new;
+                }
+            }
+            *truth = u32::from_le_bytes(t);
+        }
     }
 }
 
@@ -775,6 +734,48 @@ mod tests {
         let (v, c) = t.read(0, 4);
         assert_eq!(v, 0xCAFE_F00D);
         assert_eq!(c, 1);
+    }
+
+    #[test]
+    fn tcm_partial_writes_and_loads_update_the_held_truth() {
+        let mut t = Tcm::new(64);
+        t.write(0, 4, 0xCAFE_F00D);
+        t.inject_bit_flip(0, 0);
+        // A halfword store leaves the word poisoned; the repair restores
+        // the other half from the ECC truth.
+        t.write(2, 2, 0xBEEF);
+        assert!(t.is_poisoned(0));
+        assert_eq!(t.read(0, 4), (0xBEEF_F00D, 1 + t.repair_cycles));
+        // An image loaded over a poisoned word becomes its truth.
+        t.inject_bit_flip(4, 31);
+        t.load(3, &[0x11, 0x22, 0x33]);
+        assert_eq!(t.read(4, 4).0, 0x0000_3322);
+        assert_eq!(t.repairs(), 2);
+        // A full-word store clears the poison without a repair.
+        t.inject_bit_flip(8, 1);
+        t.write(8, 4, 7);
+        assert_eq!(t.read(8, 4), (7, 1));
+    }
+
+    #[test]
+    fn pages_straddle_and_stay_zero_until_written() {
+        let mut s = Sram::new(3 * PAGE as u32);
+        assert_eq!(s.read(PAGE as u32 - 2, 4), 0);
+        s.write(PAGE as u32 - 2, 4, 0x1122_3344);
+        assert_eq!(s.read(PAGE as u32 - 2, 4), 0x1122_3344);
+        assert_eq!(s.read(PAGE as u32, 2), 0x1122);
+        s.write(2 * PAGE as u32 - 1, 2, 0xABCD);
+        assert_eq!(s.read(2 * PAGE as u32 - 1, 2), 0xABCD);
+        let fork = s.clone();
+        s.write(PAGE as u32 - 1, 2, 0);
+        assert_eq!(fork.read(PAGE as u32 - 2, 4), 0x1122_3344, "the fork keeps its copy");
+        assert_eq!(s.read(PAGE as u32 - 2, 4), 0x1100_0044);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns")]
+    fn reads_past_the_end_panic() {
+        let _ = Sram::new(64).read(62, 4);
     }
 
     #[test]

@@ -54,10 +54,21 @@
 //! deliberately coarse: correct first, cheap second — invalidation events
 //! are rare compared to steps, and a full clear makes the consistency
 //! argument one sentence long.
+//!
+//! # Forking
+//!
+//! Both levels keep their slots in copy-on-write chunk tables
+//! (`crates/sim/src/cow.rs`), so forking a machine shares its warm
+//! caches instead of copying them, and an insert copies only the chunk
+//! it lands in. A stamp mismatch in one copy (a fork that flips a flash
+//! bit) clears that copy alone: its view lets the shared table go, and
+//! every other copy keeps it.
 
 use std::sync::Arc;
 
 use alia_isa::{Cond, Instr};
+
+use crate::cow::CowTable;
 
 /// Total entry count (covers 4 KiB of contiguous Thumb code before
 /// aliasing; kernels in this repo are a few hundred bytes). In the
@@ -71,6 +82,10 @@ const SETS: usize = SLOTS / 2;
 /// Marker for an empty slot (instruction addresses are even, so an odd
 /// tag can never match a real PC).
 const TAG_EMPTY: u32 = 1;
+
+/// Entries per copy-on-write chunk: 64 sets of the 2-way layout, so a
+/// chunk never splits a set.
+const CHUNK: usize = 128;
 
 /// One predecoded instruction.
 #[derive(Debug, Clone, Copy)]
@@ -121,6 +136,22 @@ impl Entry {
             bp_first: !second,
             bp_second: second,
             patch_hits,
+        }
+    }
+}
+
+impl Default for Entry {
+    /// The empty slot.
+    fn default() -> Entry {
+        Entry {
+            tag: TAG_EMPTY,
+            instr: Instr::Nop,
+            size: 0,
+            cond: Cond::Al,
+            is_it: false,
+            bp_first: false,
+            bp_second: false,
+            patch_hits: 0,
         }
     }
 }
@@ -221,14 +252,14 @@ impl PredecodeStats {
 /// The predecoded-instruction cache. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Predecode {
-    /// Entry storage, allocated lazily on the first insert so a machine
-    /// that never steps (or runs with the cache disabled) pays nothing
-    /// at construction. Indexed flat (direct-mapped) or as [`SETS`]
-    /// pairs of ways (2-way).
-    entries: Vec<Entry>,
+    /// Entry storage: [`SLOTS`] entries in copy-on-write chunks, none
+    /// allocated until an insert lands in them. Indexed flat
+    /// (direct-mapped) or as [`SETS`] pairs of ways (2-way).
+    entries: CowTable<Entry, CHUNK>,
     /// One MRU bit per set in the 2-way layout (bit set = way 1 was
-    /// used more recently, so way 0 is the eviction victim).
-    mru: Vec<u64>,
+    /// used more recently, so way 0 is the eviction victim). Kept
+    /// inline, outside the shared table: hits update it.
+    mru: [u64; SETS / 64],
     stamp: u64,
     /// Watermark over cached instruction bytes: lowest / highest address
     /// (inclusive) any live entry covers. `lo > hi` means empty.
@@ -242,8 +273,8 @@ pub struct Predecode {
 impl Predecode {
     pub(crate) fn new(enabled: bool, two_way: bool) -> Predecode {
         Predecode {
-            entries: Vec::new(),
-            mru: Vec::new(),
+            entries: CowTable::new(),
+            mru: [0; SETS / 64],
             stamp: 0,
             lo: u32::MAX,
             hi: 0,
@@ -293,9 +324,7 @@ impl Predecode {
     }
 
     fn drop_entries(&mut self) {
-        for e in &mut self.entries {
-            e.tag = TAG_EMPTY;
-        }
+        self.entries.clear();
         self.lo = u32::MAX;
         self.hi = 0;
     }
@@ -316,7 +345,8 @@ impl Predecode {
         }
         if self.two_way {
             let set = Predecode::set(pc);
-            if let Some(pair) = self.entries.get(set * 2..set * 2 + 2) {
+            if let Some(chunk) = self.entries.chunk(set * 2 / CHUNK) {
+                let pair = &chunk[set * 2 % CHUNK..][..2];
                 let way = if pair[0].tag == pc {
                     0
                 } else if pair[1].tag == pc {
@@ -364,48 +394,33 @@ impl Predecode {
         if !self.enabled || self.stamp != stamp {
             return;
         }
-        if self.entries.is_empty() {
-            self.entries = vec![
-                Entry {
-                    tag: TAG_EMPTY,
-                    instr: Instr::Nop,
-                    size: 0,
-                    cond: Cond::Al,
-                    is_it: false,
-                    bp_first: false,
-                    bp_second: false,
-                    patch_hits: 0,
-                };
-                SLOTS
-            ];
-            self.mru = vec![0; SETS.div_ceil(64)];
-        }
         debug_assert_eq!(entry.tag, pc);
         let end = pc + entry.size.max(2) - 1;
         self.lo = self.lo.min(pc);
         self.hi = self.hi.max(end);
         if self.two_way {
             let set = Predecode::set(pc);
-            let base = set * 2;
+            let mru_way1 = self.mru[set >> 6] & 1 << (set & 63) != 0;
+            let pair = &mut self.entries.chunk_mut(set * 2 / CHUNK)[set * 2 % CHUNK..][..2];
             // Way choice: matching tag, then an empty way, then the LRU
             // victim.
-            let way = if self.entries[base].tag == pc {
+            let way = if pair[0].tag == pc {
                 0
-            } else if self.entries[base + 1].tag == pc {
+            } else if pair[1].tag == pc {
                 1
-            } else if self.entries[base].tag == TAG_EMPTY {
+            } else if pair[0].tag == TAG_EMPTY {
                 0
-            } else if self.entries[base + 1].tag == TAG_EMPTY {
+            } else if pair[1].tag == TAG_EMPTY {
                 1
-            } else if self.mru[set >> 6] & 1 << (set & 63) != 0 {
+            } else if mru_way1 {
                 0 // way 1 is MRU: evict way 0
             } else {
                 1
             };
-            self.entries[base + way] = entry;
+            pair[way] = entry;
             self.mark_mru(set, way);
         } else {
-            self.entries[Predecode::slot(pc)] = entry;
+            *self.entries.get_mut(Predecode::slot(pc)) = entry;
         }
     }
 
@@ -458,13 +473,31 @@ pub(crate) struct BlockStats {
 }
 
 /// One cached basic block: a straight-line run of predecoded entries.
+/// Changes only when the slot is filled, promoted or cleared.
 #[derive(Debug, Clone)]
 struct Block {
     /// Start address (`TAG_EMPTY` = empty slot).
     start: u32,
     /// The decoded run. Shared (`Arc`) so the executor can iterate the
     /// slice while the machine is mutably borrowed.
-    insts: Arc<[Entry]>,
+    insts: Option<Arc<[Entry]>>,
+    /// The tier-3 lowering, once promoted. Shares the slot's lifetime:
+    /// every path that clears or evicts the slot drops it (demotion),
+    /// so the tier-2 invalidation story covers tier 3 verbatim.
+    threaded: Option<Arc<crate::threaded::ThreadedBlock>>,
+}
+
+impl Default for Block {
+    fn default() -> Block {
+        Block { start: TAG_EMPTY, insts: None, threaded: None }
+    }
+}
+
+/// A block slot's counters and chain hints: plain data, kept apart from
+/// [`Block`] because they change on every dispatch, so copying their
+/// chunk on a fork's first dispatch takes no refcounts.
+#[derive(Debug, Clone, Copy)]
+struct BlockHeat {
     /// Chain hints: `(exit pc, successor slot)`. A hint is only a
     /// shortcut — the executor re-verifies the successor's start tag,
     /// so stale hints (evicted or cleared successors) fail safe.
@@ -473,15 +506,20 @@ struct Block {
     /// reaches [`crate::threaded::PROMOTE_HEAT`] the machine lowers the
     /// block to threaded code. Saturating; reset with the slot.
     heat: u32,
-    /// The tier-3 lowering, once promoted. Shares the slot's lifetime:
-    /// every path that clears or evicts the slot drops it (demotion),
-    /// so the tier-2 invalidation story covers tier 3 verbatim.
-    threaded: Option<Arc<crate::threaded::ThreadedBlock>>,
     /// Total dispatches of this slot's current block (tier 2 and
     /// tier 3; self-loop rounds included) — the profiler's per-block
     /// heat. Reset with the slot.
     dispatches: u64,
 }
+
+impl Default for BlockHeat {
+    fn default() -> BlockHeat {
+        BlockHeat { links: [LINK_EMPTY; BLOCK_LINKS], heat: 0, dispatches: 0 }
+    }
+}
+
+/// Block slots per copy-on-write chunk.
+const BLOCK_CHUNK: usize = 32;
 
 /// The basic-block cache. Invalidation mirrors [`Predecode`]: the same
 /// generation stamp guards all blocks (a mismatch clears the table),
@@ -489,11 +527,10 @@ struct Block {
 /// store-path self-modifying-code check. See the module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockCache {
-    /// Slot storage, allocated lazily on the first insert.
-    blocks: Vec<Block>,
-    /// Shared empty run (cleared slots point here so their old entries
-    /// are freed).
-    empty: Arc<[Entry]>,
+    /// [`BLOCK_SLOTS`] block slots in copy-on-write chunks.
+    blocks: CowTable<Block, BLOCK_CHUNK>,
+    /// Each slot's counters and chain hints, chunked the same way.
+    heat: CowTable<BlockHeat, BLOCK_CHUNK>,
     stamp: u64,
     /// Watermark over cached block bytes (inclusive; `lo > hi` = empty).
     /// Kept separately from the instruction cache's watermark because
@@ -507,8 +544,8 @@ pub(crate) struct BlockCache {
 impl BlockCache {
     pub(crate) fn new(enabled: bool) -> BlockCache {
         BlockCache {
-            blocks: Vec::new(),
-            empty: Arc::from(Vec::new().into_boxed_slice()),
+            blocks: CowTable::new(),
+            heat: CowTable::new(),
             stamp: 0,
             lo: u32::MAX,
             hi: 0,
@@ -533,16 +570,10 @@ impl BlockCache {
     }
 
     fn drop_blocks(&mut self) {
-        let mut demoted = 0;
-        for b in &mut self.blocks {
-            b.start = TAG_EMPTY;
-            b.insts = Arc::clone(&self.empty);
-            b.links = [LINK_EMPTY; BLOCK_LINKS];
-            b.heat = 0;
-            b.dispatches = 0;
-            demoted += u64::from(b.threaded.take().is_some());
-        }
-        self.stats.demotions += demoted;
+        let demoted = self.blocks.slots().filter(|(_, b)| b.threaded.is_some()).count();
+        self.stats.demotions += demoted as u64;
+        self.blocks.clear();
+        self.heat.clear();
         self.lo = u32::MAX;
         self.hi = 0;
     }
@@ -574,9 +605,14 @@ impl BlockCache {
     }
 
     /// The block's decoded run (cheap `Arc` clone).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty slot.
     #[inline]
     pub(crate) fn insts(&self, slot: usize) -> Arc<[Entry]> {
-        Arc::clone(&self.blocks[slot].insts)
+        let block = self.blocks.get(slot).and_then(|b| b.insts.as_ref());
+        Arc::clone(block.expect("occupied block slot"))
     }
 
     /// Installs a block recorded under generation `stamp`, covering the
@@ -585,31 +621,13 @@ impl BlockCache {
         if !self.enabled || self.stamp != stamp || insts.is_empty() {
             return;
         }
-        if self.blocks.is_empty() {
-            self.blocks = vec![
-                Block {
-                    start: TAG_EMPTY,
-                    insts: Arc::clone(&self.empty),
-                    links: [LINK_EMPTY; BLOCK_LINKS],
-                    heat: 0,
-                    threaded: None,
-                    dispatches: 0,
-                };
-                BLOCK_SLOTS
-            ];
-        }
         self.lo = self.lo.min(pc);
         self.hi = self.hi.max(end);
         let slot = BlockCache::slot(pc);
-        self.stats.demotions += u64::from(self.blocks[slot].threaded.is_some());
-        self.blocks[slot] = Block {
-            start: pc,
-            insts,
-            links: [LINK_EMPTY; BLOCK_LINKS],
-            heat: 0,
-            threaded: None,
-            dispatches: 0,
-        };
+        let block = self.blocks.get_mut(slot);
+        self.stats.demotions += u64::from(block.threaded.is_some());
+        *block = Block { start: pc, insts: Some(insts), threaded: None };
+        *self.heat.get_mut(slot) = BlockHeat::default();
         self.stats.built += 1;
     }
 
@@ -617,7 +635,7 @@ impl BlockCache {
     /// the hinted successor still starts there.
     #[inline]
     pub(crate) fn follow(&self, slot: usize, pc: u32) -> Option<usize> {
-        for &(exit, succ) in &self.blocks[slot].links {
+        for &(exit, succ) in &self.heat.get(slot)?.links {
             if exit == pc {
                 let s = succ as usize;
                 if self.blocks.get(s).is_some_and(|b| b.start == pc) {
@@ -632,7 +650,7 @@ impl BlockCache {
     /// Records the chain hint `exit pc -> successor slot` on `slot`,
     /// evicting the older hint when both are taken.
     pub(crate) fn link(&mut self, slot: usize, pc: u32, succ: usize) {
-        let links = &mut self.blocks[slot].links;
+        let links = &mut self.heat.get_mut(slot).links;
         let pos = links
             .iter()
             .position(|&(exit, _)| exit == pc || exit == TAG_EMPTY)
@@ -658,14 +676,14 @@ impl BlockCache {
     /// The block's threaded lowering, if promoted (cheap `Arc` clone).
     #[inline]
     pub(crate) fn threaded(&self, slot: usize) -> Option<Arc<crate::threaded::ThreadedBlock>> {
-        self.blocks[slot].threaded.clone()
+        self.blocks.get(slot)?.threaded.clone()
     }
 
     /// Bumps the slot's dispatch heat, returning `true` exactly once:
     /// on the dispatch that reaches the promotion threshold.
     #[inline]
     pub(crate) fn heat_up(&mut self, slot: usize) -> bool {
-        let b = &mut self.blocks[slot];
+        let b = self.heat.get_mut(slot);
         b.heat = b.heat.saturating_add(1);
         b.heat == crate::threaded::PROMOTE_HEAT
     }
@@ -673,7 +691,7 @@ impl BlockCache {
     /// The block's start address (valid for occupied slots).
     #[inline]
     pub(crate) fn block_start(&self, slot: usize) -> u32 {
-        self.blocks[slot].start
+        self.blocks.get(slot).map_or(TAG_EMPTY, |b| b.start)
     }
 
     /// Installs a threaded lowering on `slot`, counting the promotion
@@ -688,13 +706,13 @@ impl BlockCache {
         self.stats.plans_free += u64::from(tb.plans_free);
         self.stats.plans_refill += u64::from(tb.plans_refill);
         self.stats.plans_slow += u64::from(tb.plans_slow);
-        self.blocks[slot].threaded = Some(tb);
+        self.blocks.get_mut(slot).threaded = Some(tb);
     }
 
     /// Charges `n` dispatches to the slot's per-block profile counter.
     #[inline]
     pub(crate) fn note_dispatch(&mut self, slot: usize, n: u64) {
-        self.blocks[slot].dispatches += n;
+        self.heat.get_mut(slot).dispatches += n;
     }
 
     /// Per-block profile of every occupied slot:
@@ -702,13 +720,13 @@ impl BlockCache {
     /// Unsorted — callers rank by whatever axis they report.
     pub(crate) fn profile(&self) -> Vec<(u32, u32, u64, bool, u32)> {
         self.blocks
-            .iter()
-            .filter(|b| b.start != TAG_EMPTY)
-            .map(|b| {
+            .slots()
+            .filter(|(_, b)| b.start != TAG_EMPTY)
+            .map(|(slot, b)| {
                 (
                     b.start,
-                    b.insts.len() as u32,
-                    b.dispatches,
+                    b.insts.as_ref().map_or(0, |i| i.len() as u32),
+                    self.heat.get(slot).map_or(0, |h| h.dispatches),
                     b.threaded.is_some(),
                     b.threaded.as_ref().map_or(0, |t| t.fused),
                 )
@@ -719,12 +737,17 @@ impl BlockCache {
     /// Drops every threaded lowering (and its heat) while keeping the
     /// tier-2 blocks — the tier-3 disable path.
     pub(crate) fn drop_threaded(&mut self) {
-        let mut demoted = 0;
-        for b in &mut self.blocks {
-            b.heat = 0;
-            demoted += u64::from(b.threaded.take().is_some());
+        let promoted: Vec<usize> =
+            self.blocks.slots().filter(|(_, b)| b.threaded.is_some()).map(|(i, _)| i).collect();
+        for &slot in &promoted {
+            self.blocks.get_mut(slot).threaded = None;
         }
-        self.stats.demotions += demoted;
+        self.stats.demotions += promoted.len() as u64;
+        let warm: Vec<usize> =
+            self.heat.slots().filter(|(_, h)| h.heat != 0).map(|(i, _)| i).collect();
+        for slot in warm {
+            self.heat.get_mut(slot).heat = 0;
+        }
     }
 }
 

@@ -526,8 +526,8 @@ impl System {
         }
     }
 
-    /// A fully independent deep copy of the whole topology: every node
-    /// is forked (dirty-page machine copies — see [`Machine::snapshot`]),
+    /// A fully independent copy of the whole topology: every node is
+    /// forked (copy-on-write machine copies — see [`Machine::snapshot`]),
     /// every wire is deep-copied onto a new identity
     /// ([`SharedCanBus::fork_detached`]), and each forked node's shared
     /// CAN controllers and DMA gateway engines are rebound to the
@@ -536,9 +536,12 @@ impl System {
     /// the original's wires or vice versa, and both systems continue
     /// bit-identically from the fork point given identical inputs.
     ///
-    /// Forking a warmed-up topology costs microseconds (proportional to
-    /// the touched memory footprint), which is what makes campaign
-    /// fan-out cheap: build and warm one system, fork it per run.
+    /// Parent and fork are symmetric: either may keep running, and each
+    /// copies a memory page or cache chunk on its own first write to it.
+    /// Forking a warmed-up topology costs a few refcounts per node plus
+    /// the device and wire state (after the first fork, which freezes
+    /// the pages the parent wrote), which is what makes campaign fan-out
+    /// cheap: build and warm one system, fork it per run.
     #[must_use]
     pub fn fork(&self) -> System {
         let wires: Vec<SharedCanBus> =

@@ -1,0 +1,116 @@
+//! Structural allocation guard: building a machine and forking a warm
+//! system cost what they touch, not the simulated address space.
+//!
+//! A counting global allocator tallies the bytes each test thread
+//! requests; every bound below must also hold with flash and SRAM
+//! doubled, which a copy of either array could never fit. The test is
+//! deterministic and times nothing.
+
+mod support;
+
+use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
+use std::cell::Cell;
+
+use alia_sim::{Machine, MachineConfig, SystemStop};
+
+struct Counting;
+
+thread_local! {
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// thread-local tally is a const-initialized `Cell`, which never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BYTES.with(|b| b.set(b.get() + layout.size() as u64));
+        SystemAlloc.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        BYTES.with(|b| b.set(b.get() + layout.size() as u64));
+        SystemAlloc.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BYTES.with(|b| b.set(b.get() + new_size as u64));
+        SystemAlloc.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        SystemAlloc.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes allocated on this thread while `f` runs.
+fn allocated<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = BYTES.with(Cell::get);
+    let r = f();
+    (BYTES.with(Cell::get) - before, r)
+}
+
+/// `m3_like`, and the same with flash and SRAM doubled.
+fn configs() -> [MachineConfig; 2] {
+    let base = MachineConfig::m3_like();
+    let mut doubled = base.clone();
+    doubled.sram_size *= 2;
+    doubled.flash.size *= 2;
+    [base, doubled]
+}
+
+/// A fresh machine: registers, bus and device tables only (776 bytes
+/// when this guard was written).
+const NEW_MACHINE_BOUND: u64 = 4 << 10;
+/// Fork plus drop of the warm 5-node system, after its first fork:
+/// devices, wires and per-node state, every memory page and cache
+/// chunk shared (19.4 KiB when written).
+const FORK_BOUND: u64 = 32 << 10;
+/// The first fork of a warm system also freezes the pages and cache
+/// chunks the system has written (130 KiB when written).
+const FIRST_FORK_BOUND: u64 = 256 << 10;
+
+#[test]
+fn machine_new_allocates_no_backing_memory() {
+    let costs = configs().map(|config| {
+        let (bytes, m) = allocated(|| Machine::new(config.clone()));
+        drop(m);
+        assert!(
+            bytes < NEW_MACHINE_BOUND,
+            "Machine::new allocated {bytes} bytes for {} KiB flash + {} KiB SRAM",
+            config.flash.size >> 10,
+            config.sram_size >> 10
+        );
+        bytes
+    });
+    assert_eq!(costs[0], costs[1], "doubling the memories changed the cost");
+}
+
+#[test]
+fn warm_fork_cost_tracks_the_touched_footprint() {
+    let costs = configs().map(|config| {
+        let mut sys = support::gateway_system(&config);
+        sys.run(3_000);
+        let (first, fork) = allocated(|| sys.fork());
+        drop(fork);
+        assert!(
+            first < FIRST_FORK_BOUND,
+            "first fork allocated {first} bytes"
+        );
+        let (bytes, ()) = allocated(|| drop(sys.fork()));
+        assert!(
+            bytes < FORK_BOUND,
+            "fork + drop allocated {bytes} bytes for {} KiB flash + {} KiB SRAM per node",
+            config.flash.size >> 10,
+            config.sram_size >> 10
+        );
+        // The forks stay usable: the parent finishes its mission.
+        let r = sys.run(2_000_000);
+        assert_eq!(r.reason, SystemStop::AllHalted);
+        (first, bytes)
+    });
+    assert_eq!(costs[0], costs[1], "doubling the memories changed the cost");
+}
