@@ -434,10 +434,8 @@ impl CanBus {
             // The station leaves the wire: purge its queued frames and
             // silence its babble arms for good.
             let before = self.queue.len();
-            let kept: Vec<Pending> =
-                self.queue.drain().filter(|p| p.node != node).collect();
-            self.purged_tx += (before - kept.len()) as u64;
-            self.queue.extend(kept);
+            self.queue.retain(|p| p.node != node);
+            self.purged_tx += (before - self.queue.len()) as u64;
             for a in &mut self.arms {
                 if a.arm.node == node {
                     a.suspended = true;
@@ -466,29 +464,27 @@ impl CanBus {
             }
             self.apply_recoveries_up_to(start);
             self.pump_arms(start);
-            // Arbitration among frames available at `start`.
-            let mut available: Vec<Pending> = Vec::new();
-            let mut rest: Vec<Pending> = Vec::new();
-            for p in self.queue.drain() {
-                if p.enqueued_at <= start {
-                    available.push(p);
-                } else {
-                    rest.push(p);
+            // Arbitration among frames available at `start`. The heap
+            // top outranks every queued frame, so when it is available
+            // it wins; otherwise scan for the best available frame.
+            let winner = match self.queue.peek() {
+                Some(top) if top.enqueued_at <= start => self.queue.pop(),
+                _ => {
+                    let best =
+                        self.queue.iter().filter(|p| p.enqueued_at <= start).max().copied();
+                    if let Some(w) = best {
+                        // `seq` is unique among queued frames.
+                        self.queue.retain(|p| p.seq != w.seq);
+                    }
+                    best
                 }
-            }
-            let Some(winner) = available.iter().copied().max_by(|a, b| a.cmp(b)) else {
+            };
+            let Some(winner) = winner else {
                 // An arm was due but its frames were rejected/purged and
                 // nothing else is available: retry from the next event.
-                self.queue.extend(rest);
                 self.now = self.now.max(start + 1);
                 continue;
             };
-            for p in available {
-                if p != winner {
-                    rest.push(p);
-                }
-            }
-            self.queue.extend(rest);
             // Scheduled injections strictly before this transmission
             // found no frame in flight: they expire.
             while self.inj_next < self.injections.len()
@@ -534,15 +530,14 @@ impl CanBus {
                 // registered station +1, transitions stamped at `done`.
                 self.station_mut(winner.node).tec += 8;
                 self.sync_state(winner.node, done);
-                let others: Vec<usize> = self
-                    .stations
-                    .iter()
-                    .map(|s| s.node)
-                    .filter(|&n| n != winner.node)
-                    .collect();
-                for n in others {
-                    self.station_mut(n).rec += 1;
-                    self.sync_state(n, done);
+                // Indexed: `sync_state` needs `&mut self`, and the
+                // station set is fixed (every node here is registered).
+                for i in 0..self.stations.len() {
+                    let n = self.stations[i].node;
+                    if n != winner.node {
+                        self.stations[i].rec += 1;
+                        self.sync_state(n, done);
+                    }
                 }
                 // Automatic retransmission, unless the error tipped the
                 // transmitter into bus-off (sync_state purged it).
@@ -566,9 +561,9 @@ impl CanBus {
                 // Success: transmitter TEC −1, every other registered
                 // station REC −1 (both floor at 0); a station whose
                 // counters drop back under 128 rejoins error-active.
-                let nodes: Vec<usize> = self.stations.iter().map(|s| s.node).collect();
-                for n in nodes {
-                    let s = self.station_mut(n);
+                for i in 0..self.stations.len() {
+                    let s = &mut self.stations[i];
+                    let n = s.node;
                     if n == winner.node {
                         s.tec = s.tec.saturating_sub(1);
                     } else {

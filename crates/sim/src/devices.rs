@@ -295,16 +295,28 @@ impl SharedCanBus {
         u64::from(MIN_WIRE_BITS) * self.cycles_per_bit - (self.cycles_per_bit - 1)
     }
 
-    /// Runs arbitration/transmission up to core cycle `cycle`.
-    pub fn run_to_cycle(&self, cycle: u64) {
-        self.inner.lock().unwrap().run(cycle / self.cycles_per_bit);
+    /// Runs arbitration/transmission up to core cycle `cycle` and
+    /// returns the wire's status afterwards, all under one lock — the
+    /// scheduler's one wire read per quantum.
+    pub fn run_to_cycle(&self, cycle: u64) -> WireStatus {
+        let mut bus = self.inner.lock().unwrap();
+        bus.run(cycle / self.cycles_per_bit);
+        self.status_of(&bus)
     }
 
-    /// The core cycle at which the frame currently on the wire
-    /// completes (a scheduler may extend its quantum to this point).
+    /// The wire's status without advancing it (one lock).
     #[must_use]
-    pub fn busy_until_cycle(&self) -> u64 {
-        self.inner.lock().unwrap().busy_until().saturating_mul(self.cycles_per_bit)
+    pub fn status(&self) -> WireStatus {
+        self.status_of(&self.inner.lock().unwrap())
+    }
+
+    fn status_of(&self, bus: &CanBus) -> WireStatus {
+        WireStatus {
+            pending: bus.pending(),
+            busy_until: bus.busy_until().saturating_mul(self.cycles_per_bit),
+            next_fault: bus.next_fault_event().map(|at| at.saturating_mul(self.cycles_per_bit)),
+            log_len: bus.deliveries().len() + bus.state_log().len(),
+        }
     }
 
     /// Frames queued but not yet transmitted.
@@ -402,12 +414,6 @@ impl SharedCanBus {
         self.inner.lock().unwrap().rec(node)
     }
 
-    /// Number of error-state transitions logged so far.
-    #[must_use]
-    pub fn state_log_len(&self) -> usize {
-        self.inner.lock().unwrap().state_log().len()
-    }
-
     /// The `i`-th error-state transition, if logged.
     #[must_use]
     pub fn state_change(&self, i: usize) -> Option<StateChange> {
@@ -452,23 +458,30 @@ impl SharedCanBus {
         self.inner.lock().unwrap().purged_tx()
     }
 
-    /// The next core cycle at which the wire's fault plan generates
-    /// activity by itself — a babble enqueue or a bus-off recovery
-    /// completion — or `None` when the plan is quiet. The scheduler's
-    /// idle-stretch must not skip past this cycle, and a system with a
-    /// pending fault event is not quiescent.
-    #[must_use]
-    pub fn next_fault_cycle(&self) -> Option<u64> {
-        self.inner
-            .lock()
-            .unwrap()
-            .next_fault_event()
-            .map(|at| at.saturating_mul(self.cycles_per_bit))
-    }
-
     pub(crate) fn enqueue(&self, at_bits: u64, node: usize, frame: CanFrame) {
         self.inner.lock().unwrap().enqueue(at_bits, node, frame);
     }
+}
+
+/// A snapshot of the wire state the quantum scheduler decides on, taken
+/// under one lock ([`SharedCanBus::run_to_cycle`] /
+/// [`SharedCanBus::status`]). Times are core cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireStatus {
+    /// Frames queued but not yet transmitted.
+    pub pending: usize,
+    /// The cycle at which the frame currently on the wire completes
+    /// (the last completion when idle): no new arbitration can start
+    /// earlier, so a quantum may stretch to it.
+    pub busy_until: u64,
+    /// The next cycle at which the wire's fault plan generates activity
+    /// by itself — a babble enqueue or a bus-off recovery completion —
+    /// or `None` when the plan is quiet. The idle-stretch must not skip
+    /// past it, and a system with one pending is not quiescent.
+    pub next_fault: Option<u64>,
+    /// Delivery-log plus state-log length. Both logs only grow, so an
+    /// unchanged length means no wire client has anything new to see.
+    pub log_len: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -749,9 +762,11 @@ impl CanController {
                 bus.pending() > 0 || bus.state_log().len() > self.state_seen
             }
             Wire::Shared(s) => {
-                s.pending() > 0
-                    || s.deliveries_len() > self.deliveries_seen
-                    || s.state_log_len() > self.state_seen
+                // Each cursor trails its own log, so the combined length
+                // exceeds the combined cursors exactly when either log
+                // holds an entry this controller has not examined.
+                let st = s.status();
+                st.pending > 0 || st.log_len > self.deliveries_seen + self.state_seen
             }
         }
     }
@@ -791,46 +806,59 @@ impl CanController {
         self.poll_at = self.poll_at.min(at_bits.saturating_mul(self.config.cycles_per_bit));
     }
 
-    /// Called by the system scheduler after it advanced a shared wire:
-    /// re-arms the controller's tick at the arrival cycle of the first
-    /// delivery — or own-node error-state transition — it has not yet
-    /// examined, so frame reception and error IRQs stay cycle-accurate
-    /// without the controller ever running the wire. The caller must
-    /// follow up with [`crate::Bus::refresh_next_event`].
+    /// Called by the system scheduler after a boundary at which some
+    /// shared wire's delivery or state log grew, and on the first
+    /// quantum of every [`crate::System::run`]: re-arms the
+    /// controller's tick at the arrival cycle of the first delivery —
+    /// or own-node error-state transition — it has not yet examined, so
+    /// frame reception and error IRQs stay cycle-accurate without the
+    /// controller ever running the wire. Every tick leaves the
+    /// controller armed for both, so while the logs do not grow a
+    /// further call would change nothing. The caller must follow up
+    /// with [`crate::Bus::refresh_next_event`].
     pub fn note_wire_progress(&mut self) {
         if let Wire::Shared(s) = &self.wire {
-            let cpb = self.config.cycles_per_bit.max(1);
             if let Some(d) = s.delivery(self.deliveries_seen) {
-                let arrival = d.completed_at.saturating_mul(cpb);
+                let arrival = d.completed_at.saturating_mul(self.config.cycles_per_bit.max(1));
                 self.poll_at = self.poll_at.min(arrival);
             }
-            let mut i = self.state_seen;
-            while let Some(c) = s.state_change(i) {
-                if c.node == self.config.node {
-                    self.poll_at = self.poll_at.min(c.at.saturating_mul(cpb));
-                    break;
-                }
-                i += 1;
+            if let Some(at) = self.next_own_state_change() {
+                self.poll_at = self.poll_at.min(at);
             }
         }
+    }
+
+    /// On a shared wire, the core-cycle stamp of this node's first
+    /// state-log entry not yet absorbed.
+    fn next_own_state_change(&self) -> Option<u64> {
+        let Wire::Shared(s) = &self.wire else { return None };
+        let mut i = self.state_seen;
+        while let Some(c) = s.state_change(i) {
+            if c.node == self.config.node {
+                return Some(c.at.saturating_mul(self.config.cycles_per_bit.max(1)));
+            }
+            i += 1;
+        }
+        None
     }
 
     /// Absorbs wire state-log entries stamped at or before `up_to`
     /// core cycles into the guest-time mirrors; a transition of this
     /// node raises the error IRQ at its exact stamp, and a bus-off →
     /// active recovery clears the counter mirrors (the wire cleared the
-    /// real ones at the same stamp).
-    fn absorb_state_changes(&mut self, up_to: u64, ctx: &mut DeviceCtx<'_>) {
+    /// real ones at the same stamp). Returns whether an entry stamped
+    /// after `up_to` remains.
+    fn absorb_state_changes(&mut self, up_to: u64, ctx: &mut DeviceCtx<'_>) -> bool {
         let cpb = self.config.cycles_per_bit.max(1);
         loop {
             let c = match &self.wire {
                 Wire::Owned(bus) => bus.state_log().get(self.state_seen).copied(),
                 Wire::Shared(s) => s.state_change(self.state_seen),
             };
-            let Some(c) = c else { break };
+            let Some(c) = c else { return false };
             let at = c.at.saturating_mul(cpb);
             if at > up_to {
-                break;
+                return true;
             }
             self.state_seen += 1;
             if c.node != self.config.node {
@@ -941,7 +969,14 @@ impl CanController {
                 }
             }
         }
-        self.absorb_state_changes(now, ctx);
+        if self.absorb_state_changes(now, ctx) {
+            // A transition lies ahead of the core clock (a recovery can
+            // complete while a frame is still on the wire): stay armed
+            // for this node's next one, as `note_wire_progress` would.
+            if let Some(at) = self.next_own_state_change().filter(|&at| at > now) {
+                self.poll_at = self.poll_at.min(at);
+            }
+        }
         if self.poll_at == u64::MAX {
             if let Wire::Owned(bus) = &self.wire {
                 if bus.pending() > 0 {

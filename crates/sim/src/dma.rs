@@ -290,8 +290,9 @@ impl Dma {
     }
 
     /// Whether the engine still has unexamined deliveries on either
-    /// wire — the scheduler's "could put traffic on a wire soon" veto,
-    /// the analogue of [`crate::CanController::tx_armed`].
+    /// wire or forwards queued — the scheduler's "could put traffic on
+    /// a wire soon" veto, the analogue of
+    /// [`crate::CanController::tx_armed`]. Takes one lock per wire.
     #[must_use]
     pub fn armed(&self) -> bool {
         self.wires[0].deliveries_len() > self.seen[0]
@@ -300,10 +301,13 @@ impl Dma {
             || !self.fwd_queue[1].is_empty()
     }
 
-    /// Called by the system scheduler after it advanced the wires:
-    /// re-arms the engine's tick at the arrival cycle of the first
-    /// delivery it has not yet examined on either side. The caller must
-    /// follow up with [`crate::Bus::refresh_next_event`].
+    /// Called by the system scheduler after a boundary at which some
+    /// wire's log grew, and on the first quantum of every
+    /// [`crate::System::run`]: re-arms the engine's tick at the arrival
+    /// cycle of the first delivery it has not yet examined on either
+    /// side. Every tick leaves the engine armed for both sides, so while
+    /// the logs do not grow a further call would change nothing. The
+    /// caller must follow up with [`crate::Bus::refresh_next_event`].
     pub fn note_wire_progress(&mut self) {
         for (side, wire) in self.wires.iter().enumerate() {
             if let Some(d) = wire.delivery(self.seen[side]) {

@@ -130,6 +130,7 @@ pub use cpu::{
 };
 pub use devices::{
     CanConfig, CanController, SharedCanBus, Timer, TimerConfig, Watchdog, WatchdogConfig,
+    WireStatus,
 };
 pub use dma::{Dma, DmaConfig, DMA_ROUTES};
 pub use irq::{IrqController, IrqStyle, IrqTiming};

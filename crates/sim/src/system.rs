@@ -13,14 +13,24 @@
 //!    ([`Machine::run_until`] — WFI sleeps park at the boundary instead
 //!    of overshooting it);
 //! 2. every wire arbitrates and transmits everything enqueued up
-//!    to the boundary ([`SharedCanBus::run_to_cycle`]);
-//! 3. each wire client — CAN controller or DMA gateway — is re-armed at
-//!    the arrival cycle of its next delivery
+//!    to the boundary ([`SharedCanBus::run_to_cycle`]) and, under the
+//!    same lock, hands back a [`WireStatus`] snapshot — pending count,
+//!    busy-until cycle, next fault cycle and combined log length. The
+//!    next boundary, the idle-stretch eligibility, the fault-event
+//!    clamp and the quiescence test all read these snapshots, so each
+//!    wire is locked once per quantum;
+//! 3. if any wire's log grew, each wire client — CAN controller or DMA
+//!    gateway — is re-armed at the arrival cycle of its next delivery
 //!    ([`CanController::note_wire_progress`] /
 //!    [`crate::Dma::note_wire_progress`]), so reception — FIFO push, RX
 //!    interrupt, gateway forward — happens at the exact completion
 //!    cycle inside a later quantum, through the ordinary device-tick
-//!    machinery.
+//!    machinery. A log that did not grow holds nothing a client has not
+//!    already been armed for, so the pass is skipped. The first quantum
+//!    of every [`System::run`] re-arms regardless: between calls, host
+//!    code may have grown a log with no boundary to see it
+//!    ([`System::settle_wires`], [`SharedCanBus::run_to_cycle`]) or
+//!    added a node whose clients have not examined the logs yet.
 //!
 //! # Why this is deterministic
 //!
@@ -72,13 +82,13 @@
 //! Because an idle wire with a live arm or pending recovery can
 //! generate traffic (and guest-visible IRQs) without any node acting,
 //! the idle-stretch may not leap past a wire's
-//! [`SharedCanBus::next_fault_cycle`], and a system with one pending is
-//! not quiescent. With that veto in place, delivery logs, error-state
+//! [`WireStatus::next_fault`], and a system with one pending is not
+//! quiescent. With that veto in place, delivery logs, error-state
 //! logs, retransmission stamps and guest checksums are bit-identical
 //! across quantum sizes, node orderings and idle-stretch — the fault
 //! determinism sweep in `tests/integration_faults.rs` proves it.
 
-use crate::devices::{CanController, SharedCanBus};
+use crate::devices::{CanController, SharedCanBus, WireStatus};
 use crate::dma::Dma;
 use crate::machine::{Machine, StopReason};
 
@@ -583,43 +593,37 @@ impl System {
     }
 
     /// The idle-stretch boundary, when the system is eligible: every
-    /// wire is idle, no wire client holds armed state
-    /// ([`CanController::tx_armed`] / [`Dma::armed`]) and every live
-    /// node is parked in a WFI sleep — so nothing can execute (let
-    /// alone transmit or forward) before the earliest local wakeup, and
-    /// the quantum may stretch straight to it. A wire with a pending
-    /// fault event (a babble arm's next enqueue or a bus-off recovery
-    /// completion — [`SharedCanBus::next_fault_cycle`]) can generate
-    /// traffic and IRQs with every node asleep, so the stretch is
-    /// capped at the earliest such event. `None` when ineligible or no
-    /// finite wakeup exists (the quiescence check below handles the
+    /// wire is idle (per its `status` snapshot), every live node is
+    /// parked in a WFI sleep and no wire client holds armed state
+    /// ([`CanController::tx_armed`] / [`Dma::armed`]) — so nothing can
+    /// execute (let alone transmit or forward) before the earliest
+    /// local wakeup, and the quantum may stretch straight to it. A wire
+    /// with a pending fault event (a babble arm's next enqueue or a
+    /// bus-off recovery completion — [`WireStatus::next_fault`]) can
+    /// generate traffic and IRQs with every node asleep, so the stretch
+    /// is capped at the earliest such event. `None` when ineligible or
+    /// no finite wakeup exists (the quiescence check below handles the
     /// latter).
-    fn idle_stretch_boundary(&self) -> Option<u64> {
-        for wire in &self.wires {
-            if wire.pending() > 0 || wire.busy_until_cycle() > self.now {
-                return None;
-            }
+    fn idle_stretch_boundary(&self, status: &[WireStatus]) -> Option<u64> {
+        if status.iter().any(|s| s.pending > 0 || s.busy_until > self.now) {
+            return None;
         }
-        let mut wake = u64::MAX;
-        for wire in &self.wires {
-            if let Some(fault) = wire.next_fault_cycle() {
-                wake = wake.min(fault);
-            }
-        }
-        for node in &self.nodes {
-            // A halted node's devices never tick again, so even armed
-            // state there can't put traffic on a wire (a frame it
-            // already enqueued shows up in the wire's own pending/busy
-            // check above) — only live nodes' devices veto the stretch.
-            if node.halted.is_some() {
-                continue;
-            }
+        let mut wake = status.iter().filter_map(|s| s.next_fault).min().unwrap_or(u64::MAX);
+        // A halted node's devices never tick again, so even armed state
+        // there can't put traffic on a wire (a frame it already enqueued
+        // shows up in the wire's own pending/busy status above) — only
+        // live nodes veto the stretch. The parked test is the cheap one,
+        // so every node passes it before any device is examined.
+        let live = || self.nodes.iter().filter(|n| n.halted.is_none());
+        for node in live() {
             let m = node.machine();
             if !m.wfi_parked() {
                 return None;
             }
             wake = wake.min(m.next_local_event());
-            for d in m.bus.devices() {
+        }
+        for node in live() {
+            for d in node.machine().bus.devices() {
                 if let Some(c) = d.dev.as_any().downcast_ref::<CanController>() {
                     if c.tx_armed() {
                         return None;
@@ -638,6 +642,13 @@ impl System {
     /// halts, delivering cross-node CAN frames cycle-accurately.
     pub fn run(&mut self, horizon: u64) -> SystemRunResult {
         let quantum = self.effective_quantum();
+        // Each wire's status as of the last boundary: read fresh here,
+        // then replaced by every boundary's `run_to_cycle`. Host code
+        // may have grown a wire log or added a node since the previous
+        // call, so the first quantum re-arms the wire clients
+        // unconditionally.
+        let mut status: Vec<WireStatus> = self.wires.iter().map(SharedCanBus::status).collect();
+        let mut rearm = !self.wires.is_empty();
         while self.now < horizon && self.nodes.iter().any(|n| n.halted.is_none()) {
             // Quantum boundary: never beyond the lookahead past `now`,
             // but stretched across busy wires — only to the *earliest*
@@ -649,14 +660,10 @@ impl System {
             // system (the scheduler idle-stretch) and clamped to the
             // horizon.
             let base = self.now.saturating_add(quantum);
-            let mut boundary = self
-                .wires
-                .iter()
-                .map(|w| base.max(w.busy_until_cycle()))
-                .min()
-                .unwrap_or(base);
+            let mut boundary =
+                status.iter().map(|s| base.max(s.busy_until)).min().unwrap_or(base);
             if self.config.idle_stretch {
-                if let Some(wake) = self.idle_stretch_boundary() {
+                if let Some(wake) = self.idle_stretch_boundary(&status) {
                     if wake > boundary {
                         self.tracer
                             .record(self.now, alia_obs::EventKind::IdleStretch { to: wake });
@@ -672,11 +679,9 @@ impl System {
             // wire — landing the boundary exactly on its stamp keeps
             // the IRQs it raises (and so parked nodes' wake cycles)
             // bit-identical across quantum sizes and the idle-stretch.
-            for wire in &self.wires {
-                if let Some(fault) = wire.next_fault_cycle() {
-                    if fault > self.now && fault < boundary {
-                        boundary = fault;
-                    }
+            for fault in status.iter().filter_map(|s| s.next_fault) {
+                if fault > self.now && fault < boundary {
+                    boundary = fault;
                 }
             }
             let boundary = boundary;
@@ -719,12 +724,15 @@ impl System {
                 }
             }
             // 2. Every wire arbitrates everything enqueued this quantum.
-            // 3. Wire clients (controllers, gateways) re-arm at their
-            //    next delivery's arrival.
-            if !self.wires.is_empty() {
-                for wire in &self.wires {
-                    wire.run_to_cycle(boundary);
-                }
+            // 3. If a log grew, wire clients (controllers, gateways)
+            //    re-arm at their next delivery's arrival.
+            for (wire, st) in self.wires.iter().zip(&mut status) {
+                let next = wire.run_to_cycle(boundary);
+                rearm |= next.log_len != st.log_len;
+                *st = next;
+            }
+            if rearm {
+                rearm = false;
                 for node in &mut self.nodes {
                     let bus = &mut node.machine.bus;
                     let mut touched = false;
@@ -751,10 +759,8 @@ impl System {
             // to the horizon. A live babble arm or pending bus-off
             // recovery vetoes: the wire will act (and may raise IRQs)
             // without any node doing anything.
-            let wire_quiet = self.wires.iter().all(|w| {
-                w.pending() == 0
-                    && w.busy_until_cycle() <= boundary
-                    && w.next_fault_cycle().is_none()
+            let wire_quiet = status.iter().all(|s| {
+                s.pending == 0 && s.busy_until <= boundary && s.next_fault.is_none()
             });
             if wire_quiet
                 && self
@@ -1494,6 +1500,136 @@ mod tests {
         assert!(!g.wire_b().same_wire(&wb));
         let orig = sys.node(0).machine().bus.device::<Dma>().expect("engine");
         assert!(orig.wire_a().same_wire(&wa), "original untouched");
+    }
+
+    /// Per-node halt, clock, registers and IRQ stamps, plus every
+    /// wire's delivery and state logs: what no schedule may move.
+    #[allow(clippy::type_complexity)]
+    fn outcome(
+        sys: &System,
+    ) -> (
+        Vec<(Option<StopReason>, u64, [u32; 16], Vec<crate::IrqLatency>)>,
+        Vec<(Vec<alia_can::Delivery>, Vec<alia_can::StateChange>)>,
+    ) {
+        let nodes = sys
+            .nodes()
+            .iter()
+            .map(|n| {
+                let m = n.machine();
+                (n.halted(), n.cycles(), m.cpu.regs, m.latencies().to_vec())
+            })
+            .collect();
+        let wires = sys.wires().iter().map(|w| (w.delivery_log(), w.state_log())).collect();
+        (nodes, wires)
+    }
+
+    /// One ECU whose only frame errors on every attempt until the node
+    /// goes bus-off; its error IRQ handler counts transitions and
+    /// requests recovery at bus-off, and the main loop sleeps until the
+    /// third transition (the rejoin) and exits with the count. A second
+    /// ECU on the wire only sleeps.
+    fn recovery_system(config: SystemConfig) -> System {
+        let mut sys = System::with_config(config);
+        let wire = sys.shared_can_bus(4);
+        let mut plan = alia_can::FaultPlan::new();
+        // An instant every 8 bits: every attempt's data bits hold one.
+        for at in (0..4_000).step_by(8) {
+            plan.inject_bit_error(at);
+        }
+        wire.set_fault_plan(plan);
+        let conf = |node| {
+            let mut c = MachineConfig::m3_like();
+            c.devices = vec![DeviceSpec::SharedCan(
+                CanConfig { base: CAN_BASE, irq: 1, node, err_irq: 2, ..CanConfig::default() },
+                wire.clone(),
+            )];
+            c
+        };
+        let main = asm(
+            "movw r0, #0x2000
+             movt r0, #0x4000
+             movw r1, #0x123
+             str r1, [r0, #0]
+             mov r1, #1
+             str r1, [r0, #4]
+             str r1, [r0, #8]
+             str r1, [r0, #16]
+             sleep: wfi
+             cmp r7, #3
+             blt sleep
+             movw r0, #0
+             movt r0, #0x4000
+             str r7, [r0, #0]
+             halt: b halt",
+        );
+        let err_handler = asm(
+            "add r7, r7, #1
+             movw r0, #0x2000
+             movt r0, #0x4000
+             ldr r1, [r0, #48]
+             cmp r1, #2
+             bne done
+             str r1, [r0, #60]
+             done: bx lr",
+        );
+        let mut m = machine(conf(0), &main);
+        m.load_flash(0x200, &err_handler);
+        m.load_flash(8, &0x200u32.to_le_bytes());
+        sys.add_node("faulty", m);
+        sys.add_node("sleeper", machine(conf(1), &asm("sleep: wfi\n b sleep")));
+        sys
+    }
+
+    #[test]
+    fn wire_clients_rearm_on_any_log_growth_and_every_first_quantum() {
+        // The boundary skips re-arming wire clients while no wire log
+        // grows. Two growths have no delivery at a boundary to show
+        // them: a bus-off recovery completing on an idle wire while
+        // every node sleeps (only the state log grows, and its error
+        // IRQ is all that can wake the node), and host code growing a
+        // log between runs (an injected frame settled onto the wire).
+        let configs = [
+            SystemConfig::default(),
+            SystemConfig { idle_stretch: false, ..SystemConfig::default() },
+            SystemConfig { threads: 2, ..SystemConfig::default() },
+        ];
+        let recovered = configs.map(|config| {
+            let mut sys = recovery_system(config);
+            assert_eq!(sys.run(1_000_000).reason, SystemStop::AllHalted);
+            assert_eq!(
+                sys.node(0).halted(),
+                Some(StopReason::MmioExit(3)),
+                "passive, bus-off, then woken by the rejoin ({config:?})"
+            );
+            let states = sys.wire().unwrap().state_log();
+            let rejoin = states.last().expect("state log");
+            assert_eq!((rejoin.node, rejoin.to), (0, alia_can::ErrorState::Active));
+            let last_delivery = sys.wire().unwrap().delivery_log().last().unwrap().completed_at;
+            assert!(rejoin.at > last_delivery, "the rejoin lands on an idle wire");
+            outcome(&sys)
+        });
+        assert_eq!(recovered[1], recovered[0], "idle_stretch off");
+        assert_eq!(recovered[2], recovered[0], "two threads");
+
+        let injected = configs.map(|config| {
+            let mut sys = sleepy_exchange(config, 6);
+            assert_eq!(sys.run(5_000).reason, SystemStop::Horizon);
+            let wire = sys.wire().unwrap().clone();
+            // Posing as the producer, so only the consumer receives it.
+            let frame = alia_can::CanFrame::new(alia_can::CanId::Standard(0x0F), &[0xEE]);
+            wire.enqueue(sys.now() / 4 + 100, 0, frame);
+            sys.settle_wires();
+            assert_eq!(sys.run(10_000_000).reason, SystemStop::AllHalted);
+            let lats = sys.node(1).machine().latencies();
+            assert_eq!(lats.len(), 6);
+            assert!(
+                lats.iter().all(|l| l.entry_cycle - l.pend_cycle < 100),
+                "every RX IRQ is taken at its frame's arrival ({config:?}): {lats:?}"
+            );
+            outcome(&sys)
+        });
+        assert_eq!(injected[1], injected[0], "idle_stretch off");
+        assert_eq!(injected[2], injected[0], "two threads");
     }
 
     #[test]
