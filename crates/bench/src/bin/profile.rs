@@ -1,12 +1,12 @@
-//! Tier-promotion profiler: where does the simulator actually spend
-//! its time, block by block and tier by tier?
+//! Tier profiler: where does the simulator actually spend its time,
+//! block by block and tier by tier?
 //!
 //! Runs the AutoIndy-6 suite on the M3-class (T2) preset and prints,
 //! per kernel: the tier occupancy (what fraction of retired guest
-//! instructions ran under the threaded tier 3, the tier-2 block
-//! engine, and the tier-1 predecode fallback), the fusion and
-//! fetch-plan mix of the threaded code, and the hottest resident
-//! blocks with the run's host time attributed per block. The suite
+//! instructions ran inside threaded block dispatches and what fraction
+//! on the per-step predecode path), the fusion and fetch-plan mix of
+//! the threaded code, and the hottest resident blocks with the run's
+//! host time attributed per block. The suite
 //! aggregate is recorded under `profile` in the bench summary
 //! (BENCH_10.json).
 //!
@@ -46,38 +46,35 @@ fn main() {
         total_instrs += run.instructions;
         total_nanos += run.host_nanos;
 
-        let t3 = p.threaded_instrs;
-        let t2 = p.block_instrs;
-        let t1 = run.instructions.saturating_sub(t3 + t2);
+        let threaded = p.threaded_instrs;
+        let stepped = run.instructions.saturating_sub(threaded);
         println!(
             "\n{:<8} {:>9} instrs  {:>7.1} host MIPS   tier occupancy: \
-             t3 {:.1}%  t2 {:.1}%  t1 {:.1}%",
+             threaded {:.1}%  per-step {:.1}%",
             kernel.name,
             run.instructions,
             if run.host_nanos == 0 { 0.0 } else { run.instructions as f64 * 1e3 / run.host_nanos as f64 },
-            pct(t3, run.instructions),
-            pct(t2, run.instructions),
-            pct(t1, run.instructions),
+            pct(threaded, run.instructions),
+            pct(stepped, run.instructions),
         );
         let plans = p.plans_free + p.plans_refill + p.plans_slow;
         println!(
-            "         {} promoted, {} fused pairs ({:.2} per promoted block), \
+            "         {} blocks, {} fused pairs ({:.2} per block), \
              fetch plans: {:.1}% Free / {:.1}% Refill / {:.1}% Slow",
-            p.blocks_promoted,
+            p.blocks_built,
             p.fused_pairs,
-            if p.blocks_promoted == 0 { 0.0 } else { p.fused_pairs as f64 / p.blocks_promoted as f64 },
+            if p.blocks_built == 0 { 0.0 } else { p.fused_pairs as f64 / p.blocks_built as f64 },
             pct(p.plans_free, plans),
             pct(p.plans_refill, plans),
             pct(p.plans_slow, plans),
         );
         for b in blocks.iter().take(TOP_BLOCKS) {
             println!(
-                "         {:#010x} {:>3} insts  {:>8} dispatches  {}  {:>2} fused  \
+                "         {:#010x} {:>3} insts  {:>8} dispatches  {:>2} fused  \
                  ~{:>5.1}% of host time ({} µs)",
                 b.start,
                 b.insts,
                 b.dispatches,
-                if b.tier3 { "t3" } else { "t2" },
                 b.fused,
                 pct(b.host_nanos, run.host_nanos),
                 b.host_nanos / 1_000,
@@ -87,26 +84,24 @@ fn main() {
 
     let plans = agg.plans_free + agg.plans_refill + agg.plans_slow;
     let t3_pct = pct(agg.threaded_instrs, total_instrs);
-    let t2_pct = pct(agg.block_instrs, total_instrs);
-    let t1_pct = (100.0 - t3_pct - t2_pct).max(0.0);
+    let t1_pct = (100.0 - t3_pct).max(0.0);
     let host_mips =
         if total_nanos == 0 { 0.0 } else { total_instrs as f64 * 1e3 / total_nanos as f64 };
     println!(
-        "\nsuite aggregate: t3 {t3_pct:.1}% / t2 {t2_pct:.1}% / t1 {t1_pct:.1}% occupancy, \
-         {} fused pairs over {} promoted blocks, {host_mips:.1} host MIPS",
-        agg.fused_pairs, agg.blocks_promoted,
+        "\nsuite aggregate: threaded {t3_pct:.1}% / per-step {t1_pct:.1}% occupancy, \
+         {} fused pairs over {} blocks, {host_mips:.1} host MIPS",
+        agg.fused_pairs, agg.blocks_built,
     );
     alia_bench::record_bench_json(
         "profile",
         &[
             ("tier3_occupancy_pct", t3_pct),
-            ("tier2_occupancy_pct", t2_pct),
             ("tier1_occupancy_pct", t1_pct),
             ("plans_free_pct", pct(agg.plans_free, plans)),
             ("plans_refill_pct", pct(agg.plans_refill, plans)),
             ("plans_slow_pct", pct(agg.plans_slow, plans)),
             ("fused_pairs", agg.fused_pairs as f64),
-            ("blocks_promoted", agg.blocks_promoted as f64),
+            ("blocks_built", agg.blocks_built as f64),
             ("suite_host_mips", host_mips),
         ],
     );

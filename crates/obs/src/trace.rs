@@ -14,7 +14,7 @@
 //! rather than what the guest does, and legitimately differ across the
 //! sweep: [`category::SCHED`] (quantum boundaries, idle stretches) and
 //! the engine-internal [`category::TIER`]/[`category::BLOCK`] pair
-//! (block recording and tier promotion react to where `run_until`
+//! (block recording and budget splits react to where `run_until`
 //! budget boundaries fall, so a different quantum yields different
 //! splits and fills while retiring the exact same instructions). Hash
 //! with [`category::SEMANTIC`] when comparing configurations.
@@ -23,9 +23,9 @@
 /// a [`Tracer`] only stores events whose category bit is set, so the
 /// disabled path is a single test-and-branch.
 pub mod category {
-    /// Tier transitions: promote / demote / budget-split.
+    /// Block-engine transitions: demote / budget-split.
     pub const TIER: u32 = 1 << 0;
-    /// Block-cache fills (tier-2 block recording completions).
+    /// Block-cache fills (recorded blocks lowered and installed).
     pub const BLOCK: u32 = 1 << 1;
     /// Interrupt pend / take.
     pub const IRQ: u32 = 1 << 2;
@@ -121,12 +121,7 @@ pub enum RtosEventKind {
 /// identity; the event carries the cycle stamp and the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A hot block was lowered to threaded code (tier 2 → tier 3).
-    Promote {
-        /// Block start PC.
-        pc: u32,
-    },
-    /// A threaded block was dropped back to tier 2 (invalidation).
+    /// Cached blocks were dropped (invalidation or slot overwrite).
     Demote {
         /// PC whose lookup/insert observed the demotion.
         pc: u32,
@@ -223,9 +218,7 @@ impl EventKind {
     #[must_use]
     pub fn category(&self) -> u32 {
         match self {
-            EventKind::Promote { .. } | EventKind::Demote { .. } | EventKind::BudgetSplit { .. } => {
-                category::TIER
-            }
+            EventKind::Demote { .. } | EventKind::BudgetSplit { .. } => category::TIER,
             EventKind::BlockFill { .. } => category::BLOCK,
             EventKind::IrqPend { .. } | EventKind::IrqTake { .. } => category::IRQ,
             EventKind::WfiPark | EventKind::WfiResume => category::WFI,
@@ -247,7 +240,6 @@ impl EventKind {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            EventKind::Promote { .. } => "Promote",
             EventKind::Demote { .. } => "Demote",
             EventKind::BudgetSplit { .. } => "BudgetSplit",
             EventKind::BlockFill { .. } => "BlockFill",
@@ -282,11 +274,8 @@ impl EventKind {
     /// declaration order) is part of the determinism contract: two
     /// event streams hash equal iff they are bit-identical.
     fn hash_into(&self, h: &mut Fnv) {
+        // Tag 1 is retired (it was `Promote`): never reuse it.
         match *self {
-            EventKind::Promote { pc } => {
-                h.byte(1);
-                h.u64(u64::from(pc));
-            }
             EventKind::Demote { pc } => {
                 h.byte(2);
                 h.u64(u64::from(pc));
@@ -364,22 +353,42 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// FNV-1a accumulator (64-bit), matching the constants the executed
-/// RTOS trace hash already uses.
-struct Fnv(u64);
+/// FNV-1a accumulator (64-bit): the one hash behind every trace
+/// digest — [`TraceSet::fnv_hash`] and the executed RTOS trace hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
     const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
 
+    /// An accumulator at the FNV-1a offset basis.
+    #[must_use]
+    pub const fn new() -> Fnv {
+        Fnv(Self::BASIS)
+    }
+
     fn byte(&mut self, b: u8) {
         self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
     }
 
-    fn u64(&mut self, v: u64) {
+    /// Feeds `v` as eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.byte(b);
         }
+    }
+
+    /// The digest of everything fed so far.
+    #[must_use]
+    pub const fn finish(self) -> u64 {
+        self.0
     }
 }
 
@@ -542,7 +551,7 @@ impl TraceSet {
     /// scheduler configuration).
     #[must_use]
     pub fn fnv_hash(&self, mask: u32) -> u64 {
-        let mut h = Fnv(Fnv::BASIS);
+        let mut h = Fnv::new();
         for s in &self.streams {
             for b in s.label.as_bytes() {
                 h.byte(*b);
@@ -556,7 +565,7 @@ impl TraceSet {
                 ev.kind.hash_into(&mut h);
             }
         }
-        h.0
+        h.finish()
     }
 }
 
@@ -626,7 +635,7 @@ mod tests {
     #[test]
     fn category_mapping_is_total() {
         let evs = [
-            EventKind::Promote { pc: 0 },
+            EventKind::Demote { pc: 0 },
             EventKind::BlockFill { pc: 0, len: 1 },
             EventKind::IrqPend { irq: 0 },
             EventKind::WfiPark,

@@ -231,20 +231,14 @@ pub struct BoundReport {
     pub dominant: ResponseTerm,
 }
 
-/// FNV-1a over the raw trace stream.
-fn fnv1a(raw: &[(u32, u64)]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+/// FNV-1a over the raw trace stream: each word, then its cycle stamp.
+fn trace_hash(raw: &[(u32, u64)]) -> u64 {
+    let mut h = alia_obs::Fnv::new();
     for &(value, cycle) in raw {
-        eat(u64::from(value));
-        eat(cycle);
+        h.u64(u64::from(value));
+        h.u64(cycle);
     }
-    h
+    h.finish()
 }
 
 impl ExecStats {
@@ -432,7 +426,7 @@ impl ExecStats {
             irq_overhead_max,
             tick_fires,
             trace_len: raw.len(),
-            trace_hash: fnv1a(raw),
+            trace_hash: trace_hash(raw),
         })
     }
 

@@ -49,8 +49,8 @@
 //! The interpreter is built to run "as fast as the hardware allows"
 //! without changing a single reported cycle:
 //!
-//! * **Predecode cache** ([`predecode`]): a generation-stamped,
-//!   direct-mapped cache from instruction address to decoded
+//! * **Predecode cache** ([`predecode`]): a generation-stamped, 2-way
+//!   set-associative cache from instruction address to decoded
 //!   instruction. Steady-state execution never re-reads instruction
 //!   bytes or re-runs the table decoder; only the *timing* side of each
 //!   fetch (flash streaming, I-cache, TCM repair, MPU) is replayed, so
@@ -59,14 +59,21 @@
 //!   cache invalidates on flash loads, flash-patch programming,
 //!   host-side RAM mutation and self-modifying stores (tracked by an
 //!   address watermark on the store path).
+//! * **Threaded blocks** (`threaded`): straight-line runs recorded by
+//!   the per-step path are lowered once, when recorded, to threaded
+//!   code — pre-resolved handlers with superinstruction fusion and
+//!   planned fetch timing, IT blocks included — and
+//!   [`Machine::run`] dispatches whole blocks and chains their exits.
+//!   This one block form is the only fast path; results are
+//!   bit-identical with it off ([`Machine::set_block_cache_enabled`]).
 //! * **Zero-allocation hot loop**: `Machine::step` performs no heap
 //!   allocation on any path — decode reads a fixed 4-byte window
 //!   (`alia_isa::decode_window`), LDM staging uses a fixed register
 //!   buffer, IT blocks expand into an inline [`ItQueue`], and the IRQ
 //!   drain is allocation-free.
 //! * **Copy-on-write memory and code caches** (`cow`): flash, SRAM and
-//!   TCM are 4 KiB pages, and the predecode, block and threaded caches
-//!   are slot chunks, each array one `Arc`-shared frozen table plus the
+//!   TCM are 4 KiB pages, and the predecode and block caches are slot
+//!   chunks, each array one `Arc`-shared frozen table plus the
 //!   pages or chunks its copy has written. An unwritten page reads as
 //!   zero and costs nothing, so `Machine::new` allocates no backing
 //!   memory; [`Machine::snapshot`] and [`System::fork`] share the tables

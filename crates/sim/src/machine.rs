@@ -18,7 +18,6 @@ use crate::mem::{
     Access, Flash, FlashConfig, MemFault, Mmio, Sram, Tcm, BITBAND_BASE, FLASH_BASE, MMIO_BASE,
     SRAM_BASE, TCM_BASE,
 };
-use std::sync::Arc;
 
 use crate::predecode::{BlockCache, Entry, Predecode, PredecodeStats, MAX_BLOCK_LEN};
 use crate::threaded::{self, BlockExit};
@@ -133,26 +132,16 @@ pub struct MachineConfig {
     /// (a pure host optimization; cycle counts are identical either way —
     /// see [`crate::predecode`]).
     pub predecode: bool,
-    /// Whether the predecode cache is 2-way set-associative (the
-    /// default; avoids main-loop/handler slot aliasing in
-    /// interrupt-dense workloads). `false` selects the direct-mapped
-    /// layout for the bench ablation. Host-only; cycle counts are
-    /// identical either way.
-    pub predecode_two_way: bool,
     /// Whether the basic-block engine is enabled: decoded straight-line
-    /// runs are cached whole and dispatched block-at-a-time by
-    /// [`Machine::run`], with the per-step dispatch tax (IRQ drain,
-    /// stamp check, cache probe) hoisted to block boundaries and block
-    /// exits chained. Host-only; results are bit-identical either way
-    /// (`false` selects the per-step path for the bench ablation).
+    /// runs are lowered to threaded code when recorded (pre-resolved
+    /// handler/operand lists with superinstruction fusion and batched
+    /// fetch-timing replay, see `crates/sim/src/threaded.rs`) and
+    /// dispatched block-at-a-time by [`Machine::run`], with the
+    /// per-step dispatch tax (IRQ drain, stamp check, cache probe)
+    /// hoisted to block boundaries and block exits chained. Host-only;
+    /// results are bit-identical either way (`false` selects the
+    /// per-step path for the bench ablation).
     pub block_cache: bool,
-    /// Whether the tier-3 threaded-code engine is enabled: hot blocks
-    /// are lowered to pre-resolved handler/operand lists with
-    /// superinstruction fusion and batched fetch-timing replay (see
-    /// `crates/sim/src/threaded.rs`). Requires the block cache;
-    /// host-only, results bit-identical either way (`false` selects
-    /// the tier-2 path for the bench ablation).
-    pub threaded: bool,
     /// Bus devices to attach beyond the always-present instrumentation
     /// MMIO block (index 0).
     pub devices: Vec<DeviceSpec>,
@@ -177,9 +166,7 @@ impl MachineConfig {
             bitband: false,
             vector_base: 0,
             predecode: true,
-            predecode_two_way: true,
             block_cache: true,
-            threaded: true,
             devices: Vec::new(),
         }
     }
@@ -201,9 +188,7 @@ impl MachineConfig {
             bitband: true,
             vector_base: 0,
             predecode: true,
-            predecode_two_way: true,
             block_cache: true,
-            threaded: true,
             devices: Vec::new(),
         }
     }
@@ -225,9 +210,7 @@ impl MachineConfig {
             bitband: false,
             vector_base: 0,
             predecode: true,
-            predecode_two_way: true,
             block_cache: true,
-            threaded: true,
             devices: Vec::new(),
         }
     }
@@ -253,12 +236,13 @@ struct BlockRec {
     entries: Vec<Entry>,
 }
 
-/// Whether `instr` ends a basic block: control transfers (including
-/// anything that *could* write the PC) and IT headers. The classifier
-/// is a recording heuristic, not a safety boundary — the block executor
-/// independently verifies after every instruction that the PC advanced
-/// to the next entry, so a misclassified transfer exits the block
-/// rather than corrupting it.
+/// Whether `instr` ends a basic block: control transfers, including
+/// anything that *could* write the PC. An `it` header does not: it and
+/// the entries it covers run inside the block on the generic threaded
+/// handler, which pops the live IT queue. The classifier is a
+/// recording heuristic, not a safety boundary — every threaded handler
+/// reports whether the PC left the straight line, so a misclassified
+/// transfer exits the block rather than corrupting it.
 fn ends_block(instr: &Instr) -> bool {
     match instr {
         Instr::B { .. }
@@ -266,8 +250,7 @@ fn ends_block(instr: &Instr) -> bool {
         | Instr::Bx { .. }
         | Instr::Cbz { .. }
         | Instr::Tbb { .. }
-        | Instr::Tbh { .. }
-        | Instr::It { .. } => true,
+        | Instr::Tbh { .. } => true,
         Instr::Dp { rd, .. } | Instr::Mov { rd, .. } => *rd == Reg::PC,
         Instr::Ldr { rt, .. } | Instr::LdrLit { rt, .. } => *rt == Reg::PC,
         Instr::Ldm { regs, .. } | Instr::Pop { regs, .. } => regs.contains(Reg::PC),
@@ -435,7 +418,7 @@ impl Machine {
             svc_count: 0,
             icache_recoveries: 0,
             dcache_recoveries: 0,
-            predecode: Predecode::new(config.predecode, config.predecode_two_way),
+            predecode: Predecode::new(config.predecode),
             blocks: BlockCache::new(config.block_cache),
             block_rec: None,
             rec_spare: Vec::new(),
@@ -496,7 +479,7 @@ impl Machine {
     }
 
     /// A point-in-time copy of the whole machine: CPU, memories, devices,
-    /// IRQ state, predecode, block and threaded caches, WFI-park state.
+    /// IRQ state, predecode and block caches, WFI-park state.
     ///
     /// Memories and caches are copy-on-write ([`crate::predecode`] has
     /// the cache side): the copy and this machine share one frozen
@@ -576,14 +559,6 @@ impl Machine {
         self.predecode.enabled()
     }
 
-    /// Selects the predecode cache's associativity at runtime: 2-way
-    /// set-associative (`true`, the default) or direct-mapped (`false`,
-    /// the bench ablation). Switching drops all cached entries; cycle
-    /// results are identical either way.
-    pub fn set_predecode_two_way(&mut self, two_way: bool) {
-        self.predecode.set_two_way(two_way);
-    }
-
     /// Enables or disables the basic-block engine at runtime. Disabling
     /// drops all cached blocks and falls back to per-step execution;
     /// results are bit-identical either way (the block engine is a pure
@@ -599,27 +574,9 @@ impl Machine {
         self.blocks.enabled()
     }
 
-    /// Enables or disables the tier-3 threaded-code engine at runtime.
-    /// Disabling demotes every promoted block back to tier-2 dispatch;
-    /// results are bit-identical either way (the threaded tier is a
-    /// pure host optimization — the bench ablation's knob).
-    pub fn set_threaded_enabled(&mut self, enabled: bool) {
-        if self.config.threaded != enabled {
-            self.config.threaded = enabled;
-            self.blocks.drop_threaded();
-        }
-    }
-
-    /// Whether the tier-3 threaded-code engine is currently enabled.
-    #[must_use]
-    pub fn threaded_enabled(&self) -> bool {
-        self.config.threaded
-    }
-
     /// Predecode cache hit/miss/invalidation counters, including the
     /// block-level counters (blocks built/dispatched, chain follows,
-    /// budget splits) and the tier-3 counters (promotions, fused
-    /// pairs, threaded dispatches, demotions).
+    /// budget splits, fused pairs, demotions, threaded instructions).
     #[must_use]
     pub fn predecode_stats(&self) -> PredecodeStats {
         let mut stats = self.predecode.stats();
@@ -627,12 +584,11 @@ impl Machine {
         stats.block_hits = self.blocks.stats.hits;
         stats.chain_follows = self.blocks.stats.chain_follows;
         stats.budget_splits = self.blocks.stats.budget_splits;
-        stats.blocks_promoted = self.blocks.stats.promoted;
+        stats.blocks_promoted = self.blocks.stats.built;
         stats.fused_pairs = self.blocks.stats.fused_pairs;
-        stats.threaded_dispatches = self.blocks.stats.threaded_dispatches;
+        stats.threaded_dispatches = self.blocks.stats.hits;
         stats.demotions = self.blocks.stats.demotions;
         stats.threaded_instrs = self.blocks.stats.threaded_instrs;
-        stats.block_instrs = self.blocks.stats.block_instrs;
         stats.plans_free = self.blocks.stats.plans_free;
         stats.plans_refill = self.blocks.stats.plans_refill;
         stats.plans_slow = self.blocks.stats.plans_slow;
@@ -640,10 +596,10 @@ impl Machine {
     }
 
     /// Per-block execution profile: one entry per occupied block-cache
-    /// slot as `(start pc, instruction count, dispatches, promoted to
-    /// tier 3, fused pairs)`, sorted by dispatch count descending.
+    /// slot as `(start pc, instruction count, dispatches, fused pairs)`,
+    /// sorted by dispatch count descending.
     #[must_use]
-    pub fn block_profile(&self) -> Vec<(u32, u32, u64, bool, u32)> {
+    pub fn block_profile(&self) -> Vec<(u32, u32, u64, u32)> {
         let mut v = self.blocks.profile();
         v.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         v
@@ -671,7 +627,6 @@ impl Machine {
         reg.counter(&format!("{prefix}blocks.threaded_dispatches"), s.threaded_dispatches);
         reg.counter(&format!("{prefix}blocks.demotions"), s.demotions);
         reg.counter(&format!("{prefix}tier.threaded_instrs"), s.threaded_instrs);
-        reg.counter(&format!("{prefix}tier.block_instrs"), s.block_instrs);
         reg.counter(&format!("{prefix}plans.free"), s.plans_free);
         reg.counter(&format!("{prefix}plans.refill"), s.plans_refill);
         reg.counter(&format!("{prefix}plans.slow"), s.plans_slow);
@@ -1095,12 +1050,16 @@ impl Machine {
                     }
                 }
                 if let Some(slot) = looked_up {
-                    return self.exec_blocks(slot, stamp, cycle_limit);
+                    if self.block_entry_ok() {
+                        return self.exec_blocks(slot, stamp, cycle_limit);
+                    }
+                } else {
+                    self.ensure_record(pc, stamp);
                 }
-                self.ensure_record(pc, stamp);
             }
-            // Interrupt entry (or a masked pending line) and block
-            // recording are the per-step path's business.
+            // Interrupt entry (or a masked pending line), block
+            // recording and block entries the threaded code cannot take
+            // (see `block_entry_ok`) are the per-step path's business.
             return self.step_predrained();
         }
         self.step()
@@ -1108,14 +1067,17 @@ impl Machine {
 
     /// The block engine: executes the cached block in `slot`, then
     /// chains through successors, until a stop, an exit with no cached
-    /// successor, or a split back to the per-step path.
+    /// successor, or a split back to the per-step path. Every block runs
+    /// as the threaded code it was lowered to when recorded
+    /// ([`crate::threaded::dispatch`]).
     ///
     /// # Why this is bit-identical to stepping
     ///
-    /// Per instruction it runs exactly the per-step predecode-hit
-    /// sequence (fetch-timing replay, live predication, `exec`), and
-    /// after every instruction it re-checks everything the per-step
-    /// dispatch could have reacted to at that boundary:
+    /// Per instruction a threaded handler charges exactly what the
+    /// per-step predecode-hit sequence charges (fetch-timing replay,
+    /// predication, execution), and after every instruction the
+    /// dispatch loop re-checks everything the per-step dispatch could
+    /// have reacted to at that boundary:
     ///
     /// * a pending interrupt (uncovered by `cpsie`, raised mid-`ldm`,
     ///   left by an exception return) — split; the slow path owns
@@ -1125,16 +1087,21 @@ impl Machine {
     ///   same boundary stepping would;
     /// * a guest-reachable generation-stamp change (a store inside a
     ///   cache watermark, a device revision bump) — split before the
-    ///   next, possibly stale, entry could issue;
+    ///   next, possibly stale, op could run;
     /// * the cycle budget: a due scheduled interrupt, a due device
     ///   event ([`crate::Bus::next_event`], read live because a guest
     ///   store can re-arm a timer mid-block), or the `run_until` bound
     ///   — split, so interrupt latency and quantum boundaries land on
     ///   the same instruction boundary stepping would put them on.
     ///
-    /// Chained dispatch (block exit straight into the successor block)
-    /// is gated on the same checks, so a chain hop is exactly a block
-    /// entry whose drain would have been a no-op.
+    /// After a pure op the first three provably cannot have changed, so
+    /// only the budget is compared (see [`crate::threaded`]).
+    /// Predication inside a block is live: an `it` header and the
+    /// entries it covers run on the generic handler, which pops the IT
+    /// queue exactly as a step does. A block is only entered when
+    /// [`Machine::block_entry_ok`] holds, at the first dispatch and at
+    /// every chain hop, so a chain hop is exactly a block entry whose
+    /// drain would have been a no-op.
     fn exec_blocks(
         &mut self,
         mut slot: usize,
@@ -1149,31 +1116,17 @@ impl Machine {
         let cwg = self.code_write_gen;
         let revs = self.bus.device_revisions();
         loop {
-            self.blocks.stats.hits += 1;
-            // Tier selection: the threaded lowering when the block is
-            // hot (promoting it on the dispatch that crosses the heat
-            // threshold), tier-2 entry-at-a-time otherwise.
-            let exit = if let Some(tb) = self.tier3_for(slot) {
-                let instret0 = self.instret;
-                let (exit, loops) =
-                    threaded::dispatch(self, &tb, cycle_limit, sched_due, cwg, revs);
-                // Self-loop iterations inside the dispatch stand for
-                // dispatch-follow-redispatch rounds of this chain loop:
-                // charge the stats those rounds would have charged.
-                let stats = &mut self.blocks.stats;
-                stats.threaded_dispatches += 1 + loops;
-                stats.hits += loops;
-                stats.chain_follows += loops;
-                stats.threaded_instrs += self.instret - instret0;
-                self.blocks.note_dispatch(slot, 1 + loops);
-                exit
-            } else {
-                let instret0 = self.instret;
-                let exit = self.exec_block_entries(slot, cycle_limit, sched_due, cwg, revs);
-                self.blocks.stats.block_instrs += self.instret - instret0;
-                self.blocks.note_dispatch(slot, 1);
-                exit
-            };
+            let tb = self.blocks.get(slot);
+            let instret0 = self.instret;
+            let (exit, loops) = threaded::dispatch(self, &tb, cycle_limit, sched_due, cwg, revs);
+            // Self-loop iterations inside the dispatch stand for
+            // dispatch-follow-redispatch rounds of this chain loop:
+            // charge the stats those rounds would have charged.
+            let stats = &mut self.blocks.stats;
+            stats.hits += 1 + loops;
+            stats.chain_follows += loops;
+            stats.threaded_instrs += self.instret - instret0;
+            self.blocks.note_dispatch(slot, 1 + loops);
             match exit {
                 BlockExit::Stop(stop) => return Some(stop),
                 BlockExit::Split => return None,
@@ -1187,6 +1140,9 @@ impl Machine {
                     return None;
                 }
                 BlockExit::Chain => {}
+            }
+            if !self.block_entry_ok() {
+                return None;
             }
             // Block exit (taken branch or fall-through): follow the
             // chain hint, or probe-and-link, or record the successor.
@@ -1204,53 +1160,10 @@ impl Machine {
         }
     }
 
-    /// The tier-2 block body: the per-step predecode-hit sequence for
-    /// every entry, with the full safety/budget boundary checks after
-    /// each instruction (see [`Machine::exec_blocks`]'s contract).
-    fn exec_block_entries(
-        &mut self,
-        slot: usize,
-        cycle_limit: u64,
-        sched_due: u64,
-        cwg: u64,
-        revs: u64,
-    ) -> BlockExit {
-        let insts = self.blocks.insts(slot);
-        let mut pc = self.cpu.pc;
-        for e in insts.iter() {
-            // The per-step predecode-hit path, verbatim: timing
-            // replay plus the shared issue sequence.
-            let fetch_cycles = match self.replay_fetch(pc, e) {
-                Ok(c) => c,
-                Err(stop) => return BlockExit::Stop(stop),
-            };
-            let next_pc = pc.wrapping_add(e.size);
-            if let Some(stop) = self.issue(e, pc, fetch_cycles) {
-                return BlockExit::Stop(stop);
-            }
-            // Safety splits (see the method docs).
-            if !self.threaded_safety_ok(cwg, revs) {
-                return BlockExit::Split;
-            }
-            // Budget splits.
-            if self.cycles >= cycle_limit
-                || self.cycles >= sched_due
-                || self.cycles >= self.bus.next_event()
-            {
-                return BlockExit::SplitBudget;
-            }
-            if self.cpu.pc != next_pc {
-                break; // control transfer: chain in the caller
-            }
-            pc = next_pc;
-        }
-        BlockExit::Chain
-    }
-
-    /// The block engine's per-instruction safety conditions, shared
-    /// verbatim by tier 2 (after every instruction) and tier 3 (after
-    /// impure ops — pure ops provably cannot change any input of this
-    /// check). `false` means split back to the per-step path.
+    /// The block engine's per-instruction safety conditions, checked by
+    /// the threaded dispatch loop after impure ops (pure ops provably
+    /// cannot change any input of this check). `false` means split back
+    /// to the per-step path.
     pub(crate) fn threaded_safety_ok(&self, cwg: u64, revs: u64) -> bool {
         !(self.irq.any_pending()
             || !self.bus.signals.irq_requests.is_empty()
@@ -1259,32 +1172,15 @@ impl Machine {
             || self.bus.device_revisions() != revs)
     }
 
-    /// The threaded lowering for `slot` if the tier applies right now:
-    /// tier 3 enabled, no outstanding IT predication (handlers skip the
-    /// per-instruction IT-queue pop), and no latched exit code (impure
-    /// handlers re-check it; pure ones cannot set it). Promotes the
-    /// block when its heat crosses the threshold.
-    fn tier3_for(&mut self, slot: usize) -> Option<Arc<crate::threaded::ThreadedBlock>> {
-        if !self.config.threaded
-            || !self.cpu.it_queue.is_empty()
-            || self.bus.signals.exit_code.is_some()
-        {
-            return None;
-        }
-        if let Some(tb) = self.blocks.threaded(slot) {
-            return Some(tb);
-        }
-        if self.blocks.heat_up(slot) {
-            let insts = self.blocks.insts(slot);
-            let start = self.blocks.block_start(slot);
-            if let Some(tb) = threaded::build(start, &insts, self) {
-                let tb = Arc::new(tb);
-                self.blocks.install_threaded(slot, Arc::clone(&tb));
-                self.tracer.record(self.cycles, alia_obs::EventKind::Promote { pc: start });
-                return Some(tb);
-            }
-        }
-        None
+    /// Whether threaded code may enter a block now: no outstanding IT
+    /// predication (a block's specialized handlers skip the IT-queue
+    /// pop; only the `it`-covered entries it was lowered with pop it)
+    /// and no latched exit code (impure handlers re-check it; pure ones
+    /// cannot set it). Otherwise the per-step path runs the
+    /// instruction.
+    #[inline]
+    pub(crate) fn block_entry_ok(&self) -> bool {
+        self.cpu.it_queue.is_empty() && self.bus.signals.exit_code.is_none()
     }
 
     /// Starts recording a block at `pc` under generation `stamp` —
@@ -1335,29 +1231,26 @@ impl Machine {
         }
     }
 
-    /// Installs the recorded run (if any) into the block cache and
-    /// recycles the staging buffer either way.
+    /// Lowers the recorded run (if any) to threaded code, installs it
+    /// in the block cache, and recycles the staging buffer either way.
     fn finish_record(&mut self) {
         let Some(mut rec) = self.block_rec.take() else { return };
-        if !rec.entries.is_empty() {
-            let end = rec.next_pc.wrapping_sub(1);
+        let lowered = if self.blocks.accepts(rec.stamp) {
+            threaded::build(rec.start, &rec.entries, self)
+        } else {
+            None
+        };
+        if let Some(tb) = lowered {
             let demote_base = self
                 .tracer
                 .wants(alia_obs::category::TIER)
                 .then_some(self.blocks.stats.demotions);
-            let built_base = self.blocks.stats.built;
-            self.blocks
-                .insert(rec.start, end, rec.stamp, Arc::from(rec.entries.as_slice()));
-            if self.blocks.stats.built > built_base {
-                self.tracer.record(
-                    self.cycles,
-                    alia_obs::EventKind::BlockFill {
-                        pc: rec.start,
-                        len: rec.entries.len() as u32,
-                    },
-                );
-            }
-            // Overwriting a promoted slot demotes its threaded code.
+            self.blocks.insert(rec.stamp, tb);
+            self.tracer.record(
+                self.cycles,
+                alia_obs::EventKind::BlockFill { pc: rec.start, len: rec.entries.len() as u32 },
+            );
+            // Overwriting an occupied slot demotes its block.
             if let Some(base) = demote_base {
                 if self.blocks.stats.demotions > base {
                     self.tracer

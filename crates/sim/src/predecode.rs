@@ -5,20 +5,22 @@
 //! interpreter re-fetched bytes and re-ran the table decoder on every
 //! single step. This module adds the classic interpreter remedy — a
 //! *predecode cache* (translation cache without code generation): a
-//! direct-mapped table from instruction address to the already-decoded
-//! [`Instr`], its size, its condition field and its flash-patch
-//! interaction, consulted by `Machine::step` before falling back to
-//! `alia_isa::decode_window`.
+//! 2-way set-associative table from instruction address to the
+//! already-decoded [`Instr`], its size, its condition field and its
+//! flash-patch interaction, consulted by `Machine::step` before falling
+//! back to `alia_isa::decode_window`.
 //!
 //! On top of it sits a second level, the `BlockCache`: decoded
 //! *basic blocks* — straight-line runs of `Entry`s up to the next
-//! branch, IT header or other control transfer — recorded as a side
-//! effect of per-step execution and replayed whole by the machine's
-//! block engine (`Machine::run`), which hoists the per-step dispatch
-//! tax (IRQ drain, generation-stamp recomputation, cache probe) to
-//! block boundaries and chains block exits so hot loops run
-//! cache-to-cache without re-probing. The instruction-level cache stays
-//! as the fill path: blocks are built from the entries it produced.
+//! branch or other control transfer — recorded as a side effect of
+//! per-step execution and lowered once, when recorded, to threaded code
+//! (`crates/sim/src/threaded.rs`); the slot keeps only that lowering. The
+//! machine's block engine (`Machine::run`) dispatches it whole, which
+//! hoists the per-step dispatch tax (IRQ drain, generation-stamp
+//! recomputation, cache probe) to block boundaries and chains block
+//! exits so hot loops run cache-to-cache without re-probing. The
+//! instruction-level cache stays as the fill path: blocks are built from
+//! the entries it produced.
 //!
 //! # Semantics preservation
 //!
@@ -69,22 +71,22 @@ use std::sync::Arc;
 use alia_isa::{Cond, Instr};
 
 use crate::cow::CowTable;
+use crate::threaded::ThreadedBlock;
 
 /// Total entry count (covers 4 KiB of contiguous Thumb code before
-/// aliasing; kernels in this repo are a few hundred bytes). In the
-/// default 2-way layout these are organised as [`SETS`] sets of two
-/// ways; the direct-mapped ablation layout indexes them flat.
+/// aliasing; kernels in this repo are a few hundred bytes), organised
+/// as [`SETS`] sets of two ways.
 const SLOTS: usize = 2048;
 
-/// Set count of the 2-way layout (same storage, half the indices).
+/// Set count: two ways per set.
 const SETS: usize = SLOTS / 2;
 
 /// Marker for an empty slot (instruction addresses are even, so an odd
 /// tag can never match a real PC).
 const TAG_EMPTY: u32 = 1;
 
-/// Entries per copy-on-write chunk: 64 sets of the 2-way layout, so a
-/// chunk never splits a set.
+/// Entries per copy-on-write chunk: 64 sets, so a chunk never splits a
+/// set.
 const CHUNK: usize = 128;
 
 /// One predecoded instruction.
@@ -178,31 +180,32 @@ pub struct PredecodeStats {
     /// cycle budget ran out (a due scheduled interrupt, a device event
     /// from `next_event`, or a `run_until` bound).
     pub budget_splits: u64,
-    /// Blocks promoted to the tier-3 threaded-code representation
-    /// (heat-directed; see `crates/sim/src/threaded.rs`).
+    /// Blocks lowered to threaded code. Every block is lowered when it
+    /// is recorded, so this always equals `blocks_built`; kept for
+    /// reports that read it.
     pub blocks_promoted: u64,
-    /// Superinstruction pairs fused across all promoted blocks.
+    /// Superinstruction pairs fused across all lowered blocks.
     pub fused_pairs: u64,
-    /// Block executions dispatched through the threaded tier (a subset
-    /// of `block_hits`).
+    /// Block executions dispatched through threaded code (equals
+    /// `block_hits`: every dispatched block runs threaded).
     pub threaded_dispatches: u64,
-    /// Threaded blocks dropped back to tier-2 (invalidation, eviction,
-    /// or the tier being disabled).
+    /// Cached blocks dropped (invalidation, eviction or disable).
     pub demotions: u64,
-    /// Instructions retired inside tier-3 threaded dispatches (the
-    /// tier-occupancy numerator; `block_instrs` is the tier-2 share,
-    /// and everything else retired on the per-step path).
+    /// Instructions retired inside threaded block dispatches (the
+    /// tier-occupancy numerator; everything else retired on the
+    /// per-step path).
     pub threaded_instrs: u64,
-    /// Instructions retired inside tier-2 entry-at-a-time block
-    /// dispatches.
+    /// Always 0: blocks no longer run entry-at-a-time, every block
+    /// dispatch is threaded. Kept so reports that read the old tier-2
+    /// share keep compiling and print 0.
     pub block_instrs: u64,
-    /// Statically-free fetch plans across all promoted blocks (tier-3
-    /// fetch-plan mix: the op's fetch is window-resident, zero cycles).
+    /// Statically-free fetch plans across all lowered blocks (the op's
+    /// fetch is window-resident, zero cycles).
     pub plans_free: u64,
-    /// Single-refill fetch plans across all promoted blocks (one
+    /// Single-refill fetch plans across all lowered blocks (one
     /// planned streaming refill replaces the full timing walk).
     pub plans_refill: u64,
-    /// Slow fetch plans across all promoted blocks (unplannable —
+    /// Slow fetch plans across all lowered blocks (unplannable —
     /// replay `fetch_timing` in full).
     pub plans_slow: u64,
 }
@@ -253,12 +256,12 @@ impl PredecodeStats {
 #[derive(Debug, Clone)]
 pub struct Predecode {
     /// Entry storage: [`SLOTS`] entries in copy-on-write chunks, none
-    /// allocated until an insert lands in them. Indexed flat
-    /// (direct-mapped) or as [`SETS`] pairs of ways (2-way).
+    /// allocated until an insert lands in them, indexed as [`SETS`]
+    /// pairs of ways.
     entries: CowTable<Entry, CHUNK>,
-    /// One MRU bit per set in the 2-way layout (bit set = way 1 was
-    /// used more recently, so way 0 is the eviction victim). Kept
-    /// inline, outside the shared table: hits update it.
+    /// One MRU bit per set (bit set = way 1 was used more recently, so
+    /// way 0 is the eviction victim). Kept inline, outside the shared
+    /// table: hits update it.
     mru: [u64; SETS / 64],
     stamp: u64,
     /// Watermark over cached instruction bytes: lowest / highest address
@@ -266,12 +269,11 @@ pub struct Predecode {
     lo: u32,
     hi: u32,
     enabled: bool,
-    two_way: bool,
     stats: PredecodeStats,
 }
 
 impl Predecode {
-    pub(crate) fn new(enabled: bool, two_way: bool) -> Predecode {
+    pub(crate) fn new(enabled: bool) -> Predecode {
         Predecode {
             entries: CowTable::new(),
             mru: [0; SETS / 64],
@@ -279,7 +281,6 @@ impl Predecode {
             lo: u32::MAX,
             hi: 0,
             enabled,
-            two_way,
             stats: PredecodeStats::default(),
         }
     }
@@ -295,28 +296,10 @@ impl Predecode {
         self.drop_entries();
     }
 
-    /// Whether the 2-way set-associative layout is active (`false` =
-    /// direct-mapped ablation layout).
-    #[must_use]
-    pub fn two_way(&self) -> bool {
-        self.two_way
-    }
-
-    pub(crate) fn set_two_way(&mut self, two_way: bool) {
-        if self.two_way != two_way {
-            self.two_way = two_way;
-            self.drop_entries();
-        }
-    }
-
     /// Counters since construction (cleared entries keep their counts).
     #[must_use]
     pub fn stats(&self) -> PredecodeStats {
         self.stats
-    }
-
-    fn slot(pc: u32) -> usize {
-        (pc >> 1) as usize & (SLOTS - 1)
     }
 
     fn set(pc: u32) -> usize {
@@ -343,36 +326,24 @@ impl Predecode {
             self.stats.misses += 1;
             return None;
         }
-        if self.two_way {
-            let set = Predecode::set(pc);
-            if let Some(chunk) = self.entries.chunk(set * 2 / CHUNK) {
-                let pair = &chunk[set * 2 % CHUNK..][..2];
-                let way = if pair[0].tag == pc {
-                    0
-                } else if pair[1].tag == pc {
-                    1
-                } else {
-                    self.stats.misses += 1;
-                    return None;
-                };
-                let e = pair[way];
-                self.mark_mru(set, way);
-                self.stats.hits += 1;
-                return Some(e);
-            }
+        let set = Predecode::set(pc);
+        let Some(chunk) = self.entries.chunk(set * 2 / CHUNK) else {
             self.stats.misses += 1;
             return None;
-        }
-        match self.entries.get(Predecode::slot(pc)) {
-            Some(e) if e.tag == pc => {
-                self.stats.hits += 1;
-                Some(*e)
-            }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        };
+        let pair = &chunk[set * 2 % CHUNK..][..2];
+        let way = if pair[0].tag == pc {
+            0
+        } else if pair[1].tag == pc {
+            1
+        } else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let e = pair[way];
+        self.mark_mru(set, way);
+        self.stats.hits += 1;
+        Some(e)
     }
 
     /// Records `way` as most-recently-used for `set`. The store is
@@ -398,30 +369,26 @@ impl Predecode {
         let end = pc + entry.size.max(2) - 1;
         self.lo = self.lo.min(pc);
         self.hi = self.hi.max(end);
-        if self.two_way {
-            let set = Predecode::set(pc);
-            let mru_way1 = self.mru[set >> 6] & 1 << (set & 63) != 0;
-            let pair = &mut self.entries.chunk_mut(set * 2 / CHUNK)[set * 2 % CHUNK..][..2];
-            // Way choice: matching tag, then an empty way, then the LRU
-            // victim.
-            let way = if pair[0].tag == pc {
-                0
-            } else if pair[1].tag == pc {
-                1
-            } else if pair[0].tag == TAG_EMPTY {
-                0
-            } else if pair[1].tag == TAG_EMPTY {
-                1
-            } else if mru_way1 {
-                0 // way 1 is MRU: evict way 0
-            } else {
-                1
-            };
-            pair[way] = entry;
-            self.mark_mru(set, way);
+        let set = Predecode::set(pc);
+        let mru_way1 = self.mru[set >> 6] & 1 << (set & 63) != 0;
+        let pair = &mut self.entries.chunk_mut(set * 2 / CHUNK)[set * 2 % CHUNK..][..2];
+        // Way choice: matching tag, then an empty way, then the LRU
+        // victim.
+        let way = if pair[0].tag == pc {
+            0
+        } else if pair[1].tag == pc {
+            1
+        } else if pair[0].tag == TAG_EMPTY {
+            0
+        } else if pair[1].tag == TAG_EMPTY {
+            1
+        } else if mru_way1 {
+            0 // way 1 is MRU: evict way 0
         } else {
-            *self.entries.get_mut(Predecode::slot(pc)) = entry;
-        }
+            1
+        };
+        pair[way] = entry;
+        self.mark_mru(set, way);
     }
 
     /// Whether a write of `len` bytes at `addr` overlaps any cached
@@ -461,40 +428,21 @@ pub(crate) struct BlockStats {
     pub hits: u64,
     pub chain_follows: u64,
     pub budget_splits: u64,
-    pub promoted: u64,
     pub fused_pairs: u64,
-    pub threaded_dispatches: u64,
     pub demotions: u64,
     pub threaded_instrs: u64,
-    pub block_instrs: u64,
     pub plans_free: u64,
     pub plans_refill: u64,
     pub plans_slow: u64,
 }
 
-/// One cached basic block: a straight-line run of predecoded entries.
-/// Changes only when the slot is filled, promoted or cleared.
-#[derive(Debug, Clone)]
-struct Block {
-    /// Start address (`TAG_EMPTY` = empty slot).
-    start: u32,
-    /// The decoded run. Shared (`Arc`) so the executor can iterate the
-    /// slice while the machine is mutably borrowed.
-    insts: Option<Arc<[Entry]>>,
-    /// The tier-3 lowering, once promoted. Shares the slot's lifetime:
-    /// every path that clears or evicts the slot drops it (demotion),
-    /// so the tier-2 invalidation story covers tier 3 verbatim.
-    threaded: Option<Arc<crate::threaded::ThreadedBlock>>,
-}
-
-impl Default for Block {
-    fn default() -> Block {
-        Block { start: TAG_EMPTY, insts: None, threaded: None }
-    }
-}
+/// One cached basic block: its threaded lowering, made once when the
+/// block was recorded (`None` = empty slot). Shared (`Arc`) so the
+/// dispatch loop can run it while the machine is mutably borrowed.
+type Block = Option<Arc<ThreadedBlock>>;
 
 /// A block slot's counters and chain hints: plain data, kept apart from
-/// [`Block`] because they change on every dispatch, so copying their
+/// the [`Block`] because they change on every dispatch, so copying their
 /// chunk on a fork's first dispatch takes no refcounts.
 #[derive(Debug, Clone, Copy)]
 struct BlockHeat {
@@ -502,19 +450,14 @@ struct BlockHeat {
     /// shortcut — the executor re-verifies the successor's start tag,
     /// so stale hints (evicted or cleared successors) fail safe.
     links: [(u32, u16); BLOCK_LINKS],
-    /// Tier-2 dispatch count, driving heat-directed promotion: when it
-    /// reaches [`crate::threaded::PROMOTE_HEAT`] the machine lowers the
-    /// block to threaded code. Saturating; reset with the slot.
-    heat: u32,
-    /// Total dispatches of this slot's current block (tier 2 and
-    /// tier 3; self-loop rounds included) — the profiler's per-block
-    /// heat. Reset with the slot.
+    /// Total dispatches of this slot's current block (self-loop rounds
+    /// included) — the profiler's per-block heat. Reset with the slot.
     dispatches: u64,
 }
 
 impl Default for BlockHeat {
     fn default() -> BlockHeat {
-        BlockHeat { links: [LINK_EMPTY; BLOCK_LINKS], heat: 0, dispatches: 0 }
+        BlockHeat { links: [LINK_EMPTY; BLOCK_LINKS], dispatches: 0 }
     }
 }
 
@@ -570,7 +513,7 @@ impl BlockCache {
     }
 
     fn drop_blocks(&mut self) {
-        let demoted = self.blocks.slots().filter(|(_, b)| b.threaded.is_some()).count();
+        let demoted = self.blocks.slots().filter(|(_, b)| b.is_some()).count();
         self.stats.demotions += demoted as u64;
         self.blocks.clear();
         self.heat.clear();
@@ -599,36 +542,48 @@ impl BlockCache {
     pub(crate) fn probe(&self, pc: u32) -> Option<usize> {
         let slot = BlockCache::slot(pc);
         match self.blocks.get(slot) {
-            Some(b) if b.start == pc => Some(slot),
+            Some(Some(b)) if b.start == pc => Some(slot),
             _ => None,
         }
     }
 
-    /// The block's decoded run (cheap `Arc` clone).
+    /// The block's threaded code (cheap `Arc` clone).
     ///
     /// # Panics
     ///
     /// Panics on an empty slot.
     #[inline]
-    pub(crate) fn insts(&self, slot: usize) -> Arc<[Entry]> {
-        let block = self.blocks.get(slot).and_then(|b| b.insts.as_ref());
+    pub(crate) fn get(&self, slot: usize) -> Arc<ThreadedBlock> {
+        let block = self.blocks.get(slot).and_then(Option::as_ref);
         Arc::clone(block.expect("occupied block slot"))
     }
 
-    /// Installs a block recorded under generation `stamp`, covering the
-    /// byte range `[pc, end]` (inclusive). Returns its slot.
-    pub(crate) fn insert(&mut self, pc: u32, end: u32, stamp: u64, insts: Arc<[Entry]>) {
-        if !self.enabled || self.stamp != stamp || insts.is_empty() {
+    /// Whether a block recorded under generation `stamp` would be
+    /// installed — checked before the lowering is built.
+    #[must_use]
+    pub(crate) fn accepts(&self, stamp: u64) -> bool {
+        self.enabled && self.stamp == stamp
+    }
+
+    /// Installs a block recorded under generation `stamp`, counting its
+    /// fused pairs and fetch plans. Overwriting an occupied slot counts
+    /// a demotion.
+    pub(crate) fn insert(&mut self, stamp: u64, tb: ThreadedBlock) {
+        if !self.accepts(stamp) {
             return;
         }
-        self.lo = self.lo.min(pc);
-        self.hi = self.hi.max(end);
-        let slot = BlockCache::slot(pc);
-        let block = self.blocks.get_mut(slot);
-        self.stats.demotions += u64::from(block.threaded.is_some());
-        *block = Block { start: pc, insts: Some(insts), threaded: None };
-        *self.heat.get_mut(slot) = BlockHeat::default();
+        self.lo = self.lo.min(tb.start);
+        self.hi = self.hi.max(tb.end.wrapping_sub(1));
         self.stats.built += 1;
+        self.stats.fused_pairs += u64::from(tb.fused);
+        self.stats.plans_free += u64::from(tb.plans_free);
+        self.stats.plans_refill += u64::from(tb.plans_refill);
+        self.stats.plans_slow += u64::from(tb.plans_slow);
+        let slot = BlockCache::slot(tb.start);
+        let block = self.blocks.get_mut(slot);
+        self.stats.demotions += u64::from(block.is_some());
+        *block = Some(Arc::new(tb));
+        *self.heat.get_mut(slot) = BlockHeat::default();
     }
 
     /// Follows `slot`'s chain hint for an exit at `pc`, verifying that
@@ -638,7 +593,7 @@ impl BlockCache {
         for &(exit, succ) in &self.heat.get(slot)?.links {
             if exit == pc {
                 let s = succ as usize;
-                if self.blocks.get(s).is_some_and(|b| b.start == pc) {
+                if matches!(self.blocks.get(s), Some(Some(b)) if b.start == pc) {
                     return Some(s);
                 }
                 return None;
@@ -669,44 +624,13 @@ impl BlockCache {
         addr <= self.hi && addr.saturating_add(len.max(1) - 1) >= self.lo
     }
 
-    // -----------------------------------------------------------------
-    // Tier-3 promotion
-    // -----------------------------------------------------------------
-
-    /// The block's threaded lowering, if promoted (cheap `Arc` clone).
-    #[inline]
-    pub(crate) fn threaded(&self, slot: usize) -> Option<Arc<crate::threaded::ThreadedBlock>> {
-        self.blocks.get(slot)?.threaded.clone()
-    }
-
-    /// Bumps the slot's dispatch heat, returning `true` exactly once:
-    /// on the dispatch that reaches the promotion threshold.
-    #[inline]
-    pub(crate) fn heat_up(&mut self, slot: usize) -> bool {
-        let b = self.heat.get_mut(slot);
-        b.heat = b.heat.saturating_add(1);
-        b.heat == crate::threaded::PROMOTE_HEAT
-    }
-
     /// The block's start address (valid for occupied slots).
     #[inline]
     pub(crate) fn block_start(&self, slot: usize) -> u32 {
-        self.blocks.get(slot).map_or(TAG_EMPTY, |b| b.start)
-    }
-
-    /// Installs a threaded lowering on `slot`, counting the promotion
-    /// and its fused pairs.
-    pub(crate) fn install_threaded(
-        &mut self,
-        slot: usize,
-        tb: Arc<crate::threaded::ThreadedBlock>,
-    ) {
-        self.stats.promoted += 1;
-        self.stats.fused_pairs += u64::from(tb.fused);
-        self.stats.plans_free += u64::from(tb.plans_free);
-        self.stats.plans_refill += u64::from(tb.plans_refill);
-        self.stats.plans_slow += u64::from(tb.plans_slow);
-        self.blocks.get_mut(slot).threaded = Some(tb);
+        match self.blocks.get(slot) {
+            Some(Some(b)) => b.start,
+            _ => TAG_EMPTY,
+        }
     }
 
     /// Charges `n` dispatches to the slot's per-block profile counter.
@@ -716,38 +640,17 @@ impl BlockCache {
     }
 
     /// Per-block profile of every occupied slot:
-    /// `(start, instruction count, dispatches, promoted, fused pairs)`.
+    /// `(start, instruction count, dispatches, fused pairs)`.
     /// Unsorted — callers rank by whatever axis they report.
-    pub(crate) fn profile(&self) -> Vec<(u32, u32, u64, bool, u32)> {
+    pub(crate) fn profile(&self) -> Vec<(u32, u32, u64, u32)> {
         self.blocks
             .slots()
-            .filter(|(_, b)| b.start != TAG_EMPTY)
-            .map(|(slot, b)| {
-                (
-                    b.start,
-                    b.insts.as_ref().map_or(0, |i| i.len() as u32),
-                    self.heat.get(slot).map_or(0, |h| h.dispatches),
-                    b.threaded.is_some(),
-                    b.threaded.as_ref().map_or(0, |t| t.fused),
-                )
+            .filter_map(|(slot, b)| {
+                let b = b.as_ref()?;
+                let dispatches = self.heat.get(slot).map_or(0, |h| h.dispatches);
+                Some((b.start, b.len, dispatches, b.fused))
             })
             .collect()
-    }
-
-    /// Drops every threaded lowering (and its heat) while keeping the
-    /// tier-2 blocks — the tier-3 disable path.
-    pub(crate) fn drop_threaded(&mut self) {
-        let promoted: Vec<usize> =
-            self.blocks.slots().filter(|(_, b)| b.threaded.is_some()).map(|(i, _)| i).collect();
-        for &slot in &promoted {
-            self.blocks.get_mut(slot).threaded = None;
-        }
-        self.stats.demotions += promoted.len() as u64;
-        let warm: Vec<usize> =
-            self.heat.slots().filter(|(_, h)| h.heat != 0).map(|(i, _)| i).collect();
-        for slot in warm {
-            self.heat.get_mut(slot).heat = 0;
-        }
     }
 }
 
@@ -761,7 +664,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         assert!(p.lookup(0x100, 5).is_none()); // first lookup sets stamp
         p.insert(0x100, 5, entry(0x100, 2));
         assert!(p.lookup(0x100, 5).is_some());
@@ -771,7 +674,7 @@ mod tests {
 
     #[test]
     fn stamp_change_clears() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         p.insert(0x100, 1, entry(0x100, 2));
         assert!(p.lookup(0x100, 2).is_none(), "new stamp invalidates");
@@ -781,7 +684,7 @@ mod tests {
 
     #[test]
     fn stale_insert_is_dropped() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         p.insert(0x100, 2, entry(0x100, 2)); // filled under a newer stamp
         assert!(p.lookup(0x100, 1).is_none());
@@ -789,7 +692,7 @@ mod tests {
 
     #[test]
     fn disabled_never_hits() {
-        let mut p = Predecode::new(false, true);
+        let mut p = Predecode::new(false);
         p.insert(0x100, 0, entry(0x100, 2));
         assert!(p.lookup(0x100, 0).is_none());
         assert_eq!(p.stats().hits, 0);
@@ -797,7 +700,7 @@ mod tests {
 
     #[test]
     fn watermark_covers_cached_range_only() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         assert!(!p.covers(0x100, 4), "empty cache covers nothing");
         p.insert(0x100, 1, entry(0x100, 4));
@@ -811,22 +714,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_mapped_aliasing_slots_overwrite() {
-        let mut p = Predecode::new(true, false);
-        p.lookup(0x100, 1);
-        p.insert(0x100, 1, entry(0x100, 2));
-        // Same slot: 0x100 and 0x100 + 2*SLOTS alias.
-        let alias = 0x100 + 2 * SLOTS as u32;
-        p.insert(alias, 1, entry(alias, 2));
-        assert!(p.lookup(0x100, 1).is_none());
-        assert!(p.lookup(alias, 1).is_some());
-    }
-
-    #[test]
     fn two_way_holds_a_pair_of_aliases() {
-        // In the 2-way layout two addresses mapping to the same set
-        // coexist — the main-loop/handler aliasing case.
-        let mut p = Predecode::new(true, true);
+        // Two addresses mapping to the same set coexist — the
+        // main-loop/handler aliasing case.
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         let alias = 0x100 + 2 * SETS as u32;
         p.insert(0x100, 1, entry(0x100, 2));
@@ -837,7 +728,7 @@ mod tests {
 
     #[test]
     fn two_way_evicts_the_lru_way() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         let a = 0x100;
         let b = a + 2 * SETS as u32;
@@ -852,28 +743,28 @@ mod tests {
         assert!(p.lookup(c, 1).is_some());
     }
 
-    #[test]
-    fn switching_associativity_drops_entries() {
-        let mut p = Predecode::new(true, true);
-        p.lookup(0x100, 1);
-        p.insert(0x100, 1, entry(0x100, 2));
-        p.set_two_way(false);
-        assert!(p.lookup(0x100, 1).is_none(), "layout change invalidates");
-        p.insert(0x100, 1, entry(0x100, 2));
-        assert!(p.lookup(0x100, 1).is_some());
-    }
-
-    fn run(pcs: &[(u32, u32)]) -> Arc<[Entry]> {
-        pcs.iter().map(|&(pc, size)| entry(pc, size)).collect::<Vec<_>>().into()
+    /// Lowers a straight run of `nop`s starting at `start`.
+    fn run(start: u32, sizes: &[u32]) -> ThreadedBlock {
+        let mut pc = start;
+        let entries: Vec<Entry> = sizes
+            .iter()
+            .map(|&size| {
+                let e = entry(pc, size);
+                pc += size;
+                e
+            })
+            .collect();
+        crate::threaded::build(start, &entries, &crate::Machine::m3_like())
+            .expect("a recorded run lowers")
     }
 
     #[test]
     fn block_miss_insert_hit() {
         let mut b = BlockCache::new(true);
         assert!(b.lookup(0x100, 5).is_none());
-        b.insert(0x100, 0x105, 5, run(&[(0x100, 2), (0x102, 4)]));
+        b.insert(5, run(0x100, &[2, 4]));
         let slot = b.lookup(0x100, 5).expect("block cached");
-        assert_eq!(b.insts(slot).len(), 2);
+        assert_eq!(b.get(slot).len, 2);
         assert_eq!(b.stats.built, 1);
     }
 
@@ -881,18 +772,20 @@ mod tests {
     fn block_stamp_change_clears() {
         let mut b = BlockCache::new(true);
         b.lookup(0x100, 1);
-        b.insert(0x100, 0x101, 1, run(&[(0x100, 2)]));
+        b.insert(1, run(0x100, &[2]));
         assert!(b.lookup(0x100, 2).is_none(), "new stamp invalidates");
         assert!(b.lookup(0x100, 2).is_none(), "block really gone");
         assert!(!b.covers(0x100, 2), "watermark cleared with the blocks");
+        assert_eq!(b.stats.demotions, 1, "the cleared block counts as demoted");
     }
 
     #[test]
     fn block_empty_runs_are_rejected() {
-        let mut b = BlockCache::new(true);
-        b.lookup(0x100, 1);
-        b.insert(0x100, 0x100, 1, run(&[]));
-        assert!(b.lookup(0x100, 1).is_none(), "empty blocks would never advance");
+        let m = crate::Machine::m3_like();
+        assert!(
+            crate::threaded::build(0x100, &[], &m).is_none(),
+            "empty blocks would never advance"
+        );
     }
 
     #[test]
@@ -900,7 +793,7 @@ mod tests {
         let mut b = BlockCache::new(true);
         b.lookup(0x100, 1);
         assert!(!b.covers(0x100, 4));
-        b.insert(0x100, 0x107, 1, run(&[(0x100, 4), (0x104, 4)]));
+        b.insert(1, run(0x100, &[4, 4]));
         assert!(b.covers(0x106, 1));
         assert!(b.covers(0xFE, 8), "straddling write detected");
         assert!(!b.covers(0x108, 4));
@@ -910,8 +803,8 @@ mod tests {
     fn block_chain_links_verify_their_successor() {
         let mut b = BlockCache::new(true);
         b.lookup(0x100, 1);
-        b.insert(0x100, 0x103, 1, run(&[(0x100, 4)]));
-        b.insert(0x200, 0x203, 1, run(&[(0x200, 4)]));
+        b.insert(1, run(0x100, &[4]));
+        b.insert(1, run(0x200, &[4]));
         let a = b.probe(0x100).unwrap();
         let c = b.probe(0x200).unwrap();
         assert!(b.follow(a, 0x200).is_none(), "no hint yet");
@@ -920,18 +813,18 @@ mod tests {
         // Evict the successor's slot with an aliasing block: the stale
         // hint must fail the start-tag verify instead of dispatching it.
         let alias = 0x200 + 2 * BLOCK_SLOTS as u32;
-        b.insert(alias, alias + 3, 1, run(&[(alias, 4)]));
+        b.insert(1, run(alias, &[4]));
         assert!(b.follow(a, 0x200).is_none(), "stale link fails safe");
+        assert_eq!(b.stats.demotions, 1, "the evicted block counts as demoted");
     }
 
     #[test]
     fn block_links_keep_the_two_hottest_exits() {
         let mut b = BlockCache::new(true);
         b.lookup(0x100, 1);
-        b.insert(0x100, 0x103, 1, run(&[(0x100, 4)]));
-        b.insert(0x200, 0x203, 1, run(&[(0x200, 4)]));
-        b.insert(0x300, 0x303, 1, run(&[(0x300, 4)]));
-        b.insert(0x400, 0x403, 1, run(&[(0x400, 4)]));
+        for start in [0x100, 0x200, 0x300, 0x400] {
+            b.insert(1, run(start, &[4]));
+        }
         let a = b.probe(0x100).unwrap();
         b.link(a, 0x200, b.probe(0x200).unwrap());
         b.link(a, 0x300, b.probe(0x300).unwrap());
@@ -946,7 +839,7 @@ mod tests {
     #[test]
     fn disabled_block_cache_never_hits() {
         let mut b = BlockCache::new(false);
-        b.insert(0x100, 0x101, 0, run(&[(0x100, 2)]));
+        b.insert(0, run(0x100, &[2]));
         assert!(b.lookup(0x100, 0).is_none());
     }
 }

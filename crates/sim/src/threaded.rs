@@ -1,30 +1,30 @@
-//! Tier-3 threaded-code engine: the block cache's hot-block lowering.
+//! Threaded code: the one form every cached block executes in.
 //!
-//! The tier-2 block engine ([`crate::predecode::BlockCache`]) replays
-//! cached straight-line runs entry-at-a-time through the generic
-//! executor: per instruction it re-runs the fetch-timing walk, the
-//! predication lookup and the full `Instr` match. This module lowers
-//! *hot* blocks one step further, to classic threaded code: each
+//! When the block recorder (`Machine::finish_record`) installs a basic
+//! block, this module lowers it once to classic threaded code: each
 //! [`Op`] is a pre-resolved handler function pointer plus decoded
 //! operands (registers, immediates, access lengths, a memory-class
 //! fetch plan), dispatched by a tight loop with no re-decode and no
-//! generic match.
+//! generic match. The block cache keeps only this lowering.
 //!
-//! Three mechanisms carry the speedup:
+//! Three mechanisms carry the speed:
 //!
 //! * **Handler specialization** — the dominant single instructions
 //!   (ALU reg/imm, `mov`, `cmp`, direct branches, `cbz`,
 //!   immediate-offset `ldr`/`str`) get dedicated handlers that touch
 //!   exactly the state the instruction touches. Everything else falls
 //!   back to a generic handler that reuses [`Machine::issue`], so the
-//!   lowering never has to be complete to be correct.
+//!   lowering never has to be complete to be correct. An `it` header
+//!   and the entries it covers always take the generic handler, which
+//!   pops the live IT queue through `Machine::issue`: IT blocks run
+//!   inside threaded code, unfused.
 //! * **Superinstruction fusion** — the dominant dynamic pairs
 //!   (`cmp`+branch, `alu`+`cmp`, `alu`+branch loop backedges,
-//!   `ldr`+`alu`) are fused into single handlers at promotion time,
+//!   `ldr`+`alu`) are fused into single handlers at lowering time,
 //!   halving dispatch count on loop-shaped code. A fused handler
-//!   re-checks the tier-2 split conditions *between* its two halves,
-//!   so interrupts and `run_until` bounds land on exactly the same
-//!   instruction boundary the unfused path puts them on.
+//!   re-checks the block-boundary split conditions *between* its two
+//!   halves, so interrupts and `run_until` bounds land on exactly the
+//!   same instruction boundary the unfused path puts them on.
 //! * **Batched fetch-timing replay** — for straight-line code in
 //!   uncached, MPU-less flash the streaming-buffer walk of
 //!   `Machine::fetch_timing` is precomputed per fetch into a
@@ -38,34 +38,27 @@
 //!
 //! The lowering is host-only: cycles, checksums, IRQ pend/entry
 //! stamps, flash/patch statistics and stop reasons are bit-identical
-//! with the tier on or off. The argument mirrors tier-2's (see
-//! `Machine::exec_blocks`), plus one hoisting step: after a *pure*
-//! op — one that cannot pend an interrupt, raise a device signal,
-//! move a revision counter, touch `next_event` or set the exit code —
-//! the tier-2 safety re-checks are vacuous, so only the cycle budget
+//! to per-step execution. The argument is `Machine::exec_blocks`'
+//! (every boundary condition per-step dispatch could react to is
+//! re-checked after each instruction), plus one hoisting step: after a
+//! *pure* op — one that cannot pend an interrupt, raise a device
+//! signal, move a revision counter, touch `next_event` or set the exit
+//! code — those safety re-checks are vacuous, so only the cycle budget
 //! is compared (against a bound recomputed after every impure op).
 //! Purity is classified conservatively at build time; anything that
 //! touches memory, a device, or might exception-return is impure and
-//! gets the full tier-2 check sequence after it executes.
+//! gets the full check sequence after it executes.
 //!
-//! Promotion is heat-directed: `Machine::exec_blocks` counts per-slot
-//! dispatches and promotes a block after [`PROMOTE_HEAT`] tier-2
-//! executions, so cold blocks never pay the build. Invalidation is
-//! tier-2's, unchanged: threaded blocks live inside `BlockCache`
-//! slots and die with them (generation stamps, watermark stores,
-//! device revisions, disable), counted as demotions.
+//! Threaded blocks live inside `BlockCache` slots and die with them
+//! (generation stamps, watermark stores, device revisions, disable),
+//! counted as demotions.
 
 use alia_isa::{Cond, DpOp, Index, Instr, IsaMode, Offset, Operand2, Reg};
 
 use crate::cpu::{add_with_carry, EXC_RETURN_HW, EXC_RETURN_SW};
 use crate::machine::{Machine, StopReason};
 use crate::mem::{Access, FLASH_BASE};
-use crate::predecode::Entry;
-
-/// Tier-2 dispatches of a block before it is promoted to threaded
-/// code. Low enough that benchmark loops promote almost immediately,
-/// high enough that straight-line startup code never pays the build.
-pub(crate) const PROMOTE_HEAT: u32 = 8;
+use crate::predecode::{Entry, MAX_BLOCK_LEN};
 
 /// A handler: executes one [`Op`] (one instruction or one fused pair)
 /// against the machine and reports how the dispatch loop should
@@ -80,8 +73,8 @@ pub(crate) enum Ctl {
     /// Control transfer (or conditional fall-through past a terminal
     /// branch): leave the block and chain at the current PC.
     Exit,
-    /// A tier-2 safety condition tripped mid-op (fused pairs check
-    /// between halves): split to the per-step path, no budget stat.
+    /// A safety condition tripped mid-op (fused pairs check between
+    /// halves): split to the per-step path, no budget stat.
     Split,
     /// The cycle budget tripped mid-op: split, counting a budget split.
     SplitBudget,
@@ -89,8 +82,8 @@ pub(crate) enum Ctl {
     Stop(StopReason),
 }
 
-/// How a threaded (or tier-2) block execution ended, as seen by the
-/// chain loop in `Machine::exec_blocks`.
+/// How a threaded block execution ended, as seen by the chain loop in
+/// `Machine::exec_blocks`.
 #[derive(Debug)]
 pub(crate) enum BlockExit {
     /// Block completed; chain at the current PC.
@@ -206,7 +199,7 @@ pub(crate) struct Op {
     /// pend an interrupt, raise a device signal, move a revision,
     /// change `next_event`, or set the exit code. Pure ops get a
     /// single budget compare after execution instead of the full
-    /// tier-2 check sequence.
+    /// boundary check sequence.
     pub(crate) pure: bool,
     /// Total byte size (both halves when fused).
     pub(crate) size: u32,
@@ -236,20 +229,27 @@ pub(crate) struct Op {
     pub(crate) patch2: u8,
 }
 
-/// A promoted block: the threaded lowering of one `BlockCache` slot.
+/// The threaded lowering of one recorded block: what a `BlockCache`
+/// slot holds.
 #[derive(Debug)]
 pub(crate) struct ThreadedBlock {
     /// The ops, in program order.
     pub(crate) ops: Box<[Op]>,
-    /// The block's start PC — the self-loop fast path in [`dispatch`]
-    /// compares the exit PC against it.
+    /// The block's start PC — the cache's tag, and what the self-loop
+    /// fast path in [`dispatch`] compares the exit PC against.
     pub(crate) start: u32,
+    /// One past the block's last byte (the cache's watermark bound).
+    pub(crate) end: u32,
+    /// Instructions in the block (fused pairs count two).
+    pub(crate) len: u32,
     /// Alternate first op for self-loop iterations: identical to
     /// `ops[0]` except its fetch plans assume the streaming window the
     /// block itself leaves buffered at its taken backedge (instead of
     /// the unknown-entry `Slow` walk). Only reached after a *pure*
     /// terminal exit, which provably cannot disturb the fetch stream.
-    pub(crate) loop_head: Op,
+    /// Built only when the terminal op branches to the block's own
+    /// start; other blocks never take the self-loop fast path.
+    pub(crate) loop_head: Option<Box<Op>>,
     /// Flash streaming-window size the fetch plans were built for.
     pub(crate) window: u32,
     /// First-fetch length (`mode.min_instr_size()`).
@@ -277,14 +277,14 @@ pub(crate) struct ThreadedBlock {
 /// Returns the exit plus the number of *self-loop* iterations taken:
 /// when the terminal op is pure and branches back to the block's own
 /// start, the loop restarts internally instead of returning `Chain` —
-/// skipping the per-dispatch chain machinery (slot probe, tier gates,
+/// skipping the per-dispatch chain machinery (slot probe, entry gate,
 /// context rebuild) the caller would redo only to land back here. The
-/// restart is gated on exactly the conditions the caller's re-entry
-/// path (`Machine::tier3_for`) would check: empty IT queue and no
-/// latched exit code — and the retained `ctx.bound` equals the rebuild
-/// (pure ops cannot move `Bus::next_event`, and the limits are
-/// chain-constant). The caller charges one hit / threaded dispatch /
-/// chain follow per iteration, matching the unrolled accounting.
+/// restart is gated on exactly the condition the caller's chain hop
+/// checks (`Machine::block_entry_ok`: empty IT queue, no latched exit
+/// code) — and the retained `ctx.bound` equals the rebuild (pure ops
+/// cannot move `Bus::next_event`, and the limits are chain-constant).
+/// The caller charges one hit / chain follow per iteration, matching
+/// the unrolled accounting.
 pub(crate) fn dispatch(
     m: &mut Machine,
     tb: &ThreadedBlock,
@@ -309,7 +309,10 @@ pub(crate) fn dispatch(
         for (idx, block_op) in tb.ops.iter().enumerate() {
             // Self-loop iterations enter with a statically known
             // streaming window: swap in the steady-state first op.
-            let op = if looped && idx == 0 { &tb.loop_head } else { block_op };
+            let op = match &tb.loop_head {
+                Some(head) if looped && idx == 0 => head,
+                _ => block_op,
+            };
             match (op.run)(m, op, &mut ctx) {
                 Ctl::Next => {
                     if op.pure {
@@ -327,8 +330,8 @@ pub(crate) fn dispatch(
                     }
                 }
                 Ctl::Exit => {
-                    // Same boundary checks as Next — tier-2 runs them
-                    // before noticing the PC diverged — then chain.
+                    // Same boundary checks as Next — stepping would run
+                    // them before noticing the PC diverged — then chain.
                     if op.pure {
                         if m.cycles >= ctx.bound {
                             return (BlockExit::SplitBudget, loops);
@@ -336,8 +339,8 @@ pub(crate) fn dispatch(
                         // Self-loop fast path (see the method docs).
                         if idx == last
                             && m.cpu.pc == tb.start
-                            && m.cpu.it_queue.is_empty()
-                            && m.bus.signals.exit_code.is_none()
+                            && tb.loop_head.is_some()
+                            && m.block_entry_ok()
                         {
                             loops += 1;
                             looped = true;
@@ -509,7 +512,7 @@ fn branch_half(m: &mut Machine, op: &Op, pc: u32) {
     }
 }
 
-/// The tier-2 boundary check after an impure first half, mid-pair:
+/// The boundary check after an impure first half, mid-pair:
 /// exit-code stop, safety split, budget recompute + split — in exactly
 /// the order the per-entry loop applies them between two instructions.
 #[inline(always)]
@@ -692,7 +695,7 @@ fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Fused immediate-offset `ldr` + ALU (pointer-chase / accumulate).
 /// The first half is impure, so the mid-pair boundary runs the full
-/// tier-2 check sequence before the second half issues.
+/// boundary check sequence before the second half issues.
 fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
@@ -877,7 +880,7 @@ fn classify(e: &Entry, pc: u32) -> Micro {
 /// Whether `instr` is *pure*: it cannot pend an interrupt, raise a
 /// device signal, bump a revision counter or the code-write
 /// generation, change `Bus::next_event`, or set the MMIO exit code.
-/// After a pure op the tier-2 safety re-checks are provably no-ops,
+/// After a pure op the safety re-checks are provably no-ops,
 /// so the dispatch loop compares only the cycle budget. Conservative:
 /// everything that touches memory or might exception-return is impure.
 fn is_pure(instr: &Instr, pc: u32) -> bool {
@@ -1007,11 +1010,14 @@ fn single(micro: Micro) -> (Handler, Half, Cond, u32, bool) {
 }
 
 /// Lowers a recorded block to threaded code. Returns `None` only for
-/// degenerate inputs (empty runs, breakpoint entries) — a promotable
-/// block always lowers, with unspecialized entries on the generic
-/// handler.
+/// degenerate inputs (empty or over-long runs, breakpoint entries,
+/// which the recorder never produces) — a recorded block always lowers,
+/// with unspecialized entries on the generic handler.
 pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<ThreadedBlock> {
-    if entries.is_empty() || entries.iter().any(|e| e.bp_first || e.bp_second) {
+    if entries.is_empty()
+        || entries.len() > MAX_BLOCK_LEN
+        || entries.iter().any(|e| e.bp_first || e.bp_second)
+    {
         return None;
     }
     let mode = m.config.mode;
@@ -1031,76 +1037,90 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         && end >= start;
     let mut sim = FetchSim { window, cur: None, plannable };
 
-    let mut pcs = Vec::with_capacity(entries.len());
-    let mut pc = start;
-    for e in entries {
-        pcs.push(pc);
+    // Pass 1, on the stack: classify in program order. An `it` header
+    // and the entries its queue covers stay generic: `Machine::issue`
+    // pops the live queue, which no specialized handler does.
+    let mut micros = [Micro::Generic; MAX_BLOCK_LEN];
+    let (mut pc, mut it_left) = (start, 0u8);
+    for (micro, e) in micros.iter_mut().zip(entries) {
+        if let Instr::It { count, .. } = e.instr {
+            it_left = count.clamp(1, 4);
+        } else if it_left > 0 {
+            it_left -= 1;
+        } else {
+            *micro = classify(e, pc);
+        }
         pc = pc.wrapping_add(e.size);
     }
-    let micros: Vec<Micro> =
-        entries.iter().zip(&pcs).map(|(e, &pc)| classify(e, pc)).collect();
-    let pures: Vec<bool> =
-        entries.iter().zip(&pcs).map(|(e, &pc)| is_pure(&e.instr, pc)).collect();
-    let wide = |i: usize| mode != IsaMode::A32 && entries[i].size == 4;
+    let micros = &micros[..entries.len()];
+    // Greedy left-to-right pairing; counted first so the op buffer is
+    // allocated once, at its final size.
+    let fuses_at = |i: usize| i + 1 < micros.len() && fuse(micros[i], micros[i + 1]).is_some();
+    let mut n_ops = 0;
+    let mut i = 0;
+    while i < micros.len() {
+        i += if fuses_at(i) { 2 } else { 1 };
+        n_ops += 1;
+    }
 
-    // Plans one instruction's fetch calls (both for wide Thumb).
-    let plan = |sim: &mut FetchSim, k: usize| {
-        let f = sim.call(pcs[k], flen);
-        let fb = if wide(k) {
-            sim.call(pcs[k].wrapping_add(2), 2)
+    // Plans one instruction's fetch calls (both for wide Thumb), then
+    // forgets the buffered window after an impure instruction.
+    let plan = |sim: &mut FetchSim, e: &Entry, pc: u32, pure: bool| {
+        let f = sim.call(pc, flen);
+        let fb = if mode != IsaMode::A32 && e.size == 4 {
+            sim.call(pc.wrapping_add(2), 2)
         } else {
             FetchPlan::None
         };
+        if !pure {
+            sim.invalidate();
+        }
         (f, fb)
     };
 
-    let mut ops = Vec::with_capacity(entries.len());
+    // Pass 2: the ops.
+    let mut ops = Vec::with_capacity(n_ops);
     let mut fused = 0u32;
+    let mut pc = start;
     let mut i = 0;
     while i < entries.len() {
-        if i + 1 < entries.len() {
-            if let Some(fu) = fuse(micros[i], micros[i + 1]) {
-                let (f1, f1b) = plan(&mut sim, i);
-                if !pures[i] {
-                    sim.invalidate();
-                }
-                let (f2, f2b) = plan(&mut sim, i + 1);
-                if !pures[i + 1] {
-                    sim.invalidate();
-                }
-                ops.push(Op {
-                    run: fu.run,
-                    entry: entries[i],
-                    pure: pures[i] && pures[i + 1],
-                    size: entries[i].size + entries[i + 1].size,
-                    size1: entries[i].size,
-                    f1,
-                    f1b,
-                    f2,
-                    f2b,
-                    a: fu.a,
-                    b: fu.b,
-                    cond2: fu.cond2,
-                    target: fu.target,
-                    nonzero: false,
-                    patch2: entries[i + 1].patch_hits,
-                });
-                fused += 1;
-                i += 2;
-                continue;
-            }
-        }
-        let (f1, f1b) = plan(&mut sim, i);
-        if !pures[i] {
-            sim.invalidate();
+        let e = &entries[i];
+        let pure = is_pure(&e.instr, pc);
+        let (f1, f1b) = plan(&mut sim, e, pc, pure);
+        let pc2 = pc.wrapping_add(e.size);
+        if let Some(fu) = micros.get(i + 1).and_then(|&m2| fuse(micros[i], m2)) {
+            let e2 = &entries[i + 1];
+            let pure2 = is_pure(&e2.instr, pc2);
+            let (f2, f2b) = plan(&mut sim, e2, pc2, pure2);
+            ops.push(Op {
+                run: fu.run,
+                entry: *e,
+                pure: pure && pure2,
+                size: e.size + e2.size,
+                size1: e.size,
+                f1,
+                f1b,
+                f2,
+                f2b,
+                a: fu.a,
+                b: fu.b,
+                cond2: fu.cond2,
+                target: fu.target,
+                nonzero: false,
+                patch2: e2.patch_hits,
+            });
+            fused += 1;
+            i += 2;
+            pc = pc2.wrapping_add(e2.size);
+            continue;
         }
         let (run, a, cond2, target, nonzero) = single(micros[i]);
         ops.push(Op {
             run,
-            entry: entries[i],
-            pure: pures[i],
-            size: entries[i].size,
-            size1: entries[i].size,
+            entry: *e,
+            pure,
+            size: e.size,
+            size1: e.size,
             f1,
             f1b,
             f2: FetchPlan::None,
@@ -1113,7 +1133,9 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
             patch2: 0,
         });
         i += 1;
+        pc = pc2;
     }
+    debug_assert_eq!(ops.len(), n_ops);
 
     // Steady-state entry plans for the self-loop fast path: replan the
     // first op's fetches assuming the window the block leaves buffered
@@ -1121,22 +1143,19 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     // the final planned call ran under a valid model). The dispatch
     // loop only uses these after a *pure* terminal exit, which cannot
     // disturb the stream, so the assumed window is exact at runtime.
-    let mut loop_head = ops[0].clone();
-    {
+    let loop_head = (ops[ops.len() - 1].target == start).then(|| {
+        let mut head = Box::new(ops[0].clone());
         let mut lsim = FetchSim { window, cur: sim.cur, plannable };
-        let (f1, f1b) = plan(&mut lsim, 0);
-        loop_head.f1 = f1;
-        loop_head.f1b = f1b;
+        let pure = is_pure(&entries[0].instr, start);
+        (head.f1, head.f1b) = plan(&mut lsim, &entries[0], start, pure);
         // A fused first op carries the second instruction's plans too.
-        if loop_head.size != loop_head.size1 {
-            if !pures[0] {
-                lsim.invalidate();
-            }
-            let (f2, f2b) = plan(&mut lsim, 1);
-            loop_head.f2 = f2;
-            loop_head.f2b = f2b;
+        if head.size != head.size1 {
+            let pc2 = start.wrapping_add(entries[0].size);
+            let pure2 = is_pure(&entries[1].instr, pc2);
+            (head.f2, head.f2b) = plan(&mut lsim, &entries[1], pc2, pure2);
         }
-    }
+        head
+    });
     // Fetch-plan mix over the block's ops (every planned call: first
     // and second-halfword fetches of both halves of a fused pair).
     let (mut plans_free, mut plans_refill, mut plans_slow) = (0u32, 0u32, 0u32);
@@ -1153,6 +1172,8 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     Some(ThreadedBlock {
         ops: ops.into_boxed_slice(),
         start,
+        end,
+        len: entries.len() as u32,
         loop_head,
         window,
         flen,

@@ -1,19 +1,20 @@
-//! Differential tests: the tier-3 threaded-code engine must be
+//! Differential tests: the threaded-code block engine must be
 //! invisible.
 //!
-//! Every scenario runs across the full 2^3 matrix of host-acceleration
-//! tiers — predecode cache × block engine × threaded lowering — and
-//! asserts bit-identical architectural outcomes against the all-off
-//! interpreter: `StopReason`, cycles, instruction counts, registers,
-//! flags, flash streaming statistics, flash-patch accounting and the
-//! exact per-interrupt pend/entry cycle stamps. Scenarios target the
+//! Every scenario runs across the 2^2 matrix of host-acceleration
+//! tiers — predecode cache × block engine (blocks run as the threaded
+//! code they are lowered to when recorded) — and asserts bit-identical
+//! architectural outcomes against the all-off interpreter:
+//! `StopReason`, cycles, instruction counts, registers, flags, flash
+//! streaming statistics, flash-patch accounting and the exact
+//! per-interrupt pend/entry cycle stamps. Scenarios target the
 //! threaded engine's sharp edges specifically: superinstruction fusion
 //! patterns, IRQ storms landing *between* the two halves of fused
-//! pairs, self-modifying code rewriting the inside of a fused pair of
-//! an already-promoted block, `run_until` bounds splitting threaded
-//! blocks mid-flight, flash-patch toggles demoting promoted blocks,
-//! and device-revision stamps moving between a block's recording and
-//! its chained successor dispatch.
+//! pairs, IT blocks running inside threaded code, self-modifying code
+//! rewriting the inside of a fused pair of an executing block,
+//! `run_until` bounds splitting threaded blocks mid-flight, flash-patch
+//! toggles demoting blocks, and device-revision stamps moving between a
+//! block's recording and its chained successor dispatch.
 
 use std::any::Any;
 
@@ -37,13 +38,14 @@ fn assert_state_eq(on: &Machine, off: &Machine, what: &str) {
     assert_eq!(on.latencies(), off.latencies(), "{what}: IRQ stamps diverged");
 }
 
-/// Applies one tier combination (bit 0 = predecode, bit 1 = blocks,
-/// bit 2 = threaded).
+/// Applies one tier combination (bit 0 = predecode, bit 1 = blocks).
 fn set_tiers(m: &mut Machine, mask: u32) {
     m.set_predecode_enabled(mask & 1 != 0);
     m.set_block_cache_enabled(mask & 2 != 0);
-    m.set_threaded_enabled(mask & 4 != 0);
 }
+
+/// Tier combinations: predecode × blocks.
+const TIERS: u32 = 4;
 
 /// Runs every tier combination to completion against the all-off
 /// baseline, asserting bit-identity for each. Returns the baseline
@@ -53,14 +55,14 @@ fn run_matrix(build: &dyn Fn() -> Machine, limit: u64, what: &str) -> (RunResult
     set_tiers(&mut base, 0);
     let r0 = base.run(limit);
     let mut all_on = None;
-    for mask in 1u32..8 {
+    for mask in 1..TIERS {
         let mut m = build();
         set_tiers(&mut m, mask);
         let r = m.run(limit);
-        let tag = format!("{what} [combo {mask:03b}]");
+        let tag = format!("{what} [combo {mask:02b}]");
         assert_eq!(r, r0, "{tag}: RunResult diverged");
         assert_state_eq(&m, &base, &tag);
-        if mask == 7 {
+        if mask == TIERS - 1 {
             all_on = Some(m);
         }
     }
@@ -157,7 +159,6 @@ fn matrix_fusion_loops_identical_across_presets() {
             let (r, all_on) = run_matrix(&|| machine_with(&config, src), 1_000_000, &what);
             assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
             let stats = all_on.predecode_stats();
-            assert!(stats.blocks_promoted > 0, "{what}: hot loop never promoted");
             assert!(stats.threaded_dispatches > 0, "{what}: threaded engine never ran");
             assert!(stats.fused_pairs > 0, "{what}: no pair fused");
         }
@@ -211,7 +212,7 @@ fn matrix_generic_fallback_instructions_identical() {
 
 /// Schedules a dense sweep of precise-cycle interrupts across a
 /// fusion-pattern loop and asserts the pend/entry stamps are identical
-/// with the threaded tier on and off. The prime strides walk the pend
+/// with the block engine on and off. The prime strides walk the pend
 /// cycle through every phase of the loop period, so interrupts land
 /// between the two halves of every fused pair.
 fn irq_sweep(src: &str, what: &str) {
@@ -264,14 +265,210 @@ fn fused_ldr_alu_irq_storm_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Self-modifying code inside a fused pair of a promoted block
+// IT blocks inside threaded code (the codegen select shape)
+// ---------------------------------------------------------------------
+
+/// A hot loop shaped like the T2 codegen select (`cmp; ite; mov; mov`)
+/// inside a counted loop: the `it` header and both covered `mov`s sit
+/// mid-block. Even passes take the `then` arm, odd passes the `else`.
+const IT_SELECT_SRC: &str = "mov r0, #0
+     mov r2, #150
+     mov r5, #0
+     loop: add r0, r0, #1
+     and r4, r0, #1
+     cmp r4, #0
+     ite eq
+     it_then: mov r3, #7
+     it_else: mov r3, #9
+     add r5, r5, r3
+     cmp r0, r2
+     bne loop
+     bkpt #0";
+
+/// Instructions in the `loop` body of [`IT_SELECT_SRC`].
+const IT_SELECT_BODY: u64 = 9;
+
+/// Handler address for the IRQ sweeps (vector 0 points here).
+const IRQ_HANDLER: u32 = 0x300;
+
+/// The select loop on the M3 preset, with one line-0 interrupt due at
+/// each cycle of `irqs`.
+fn it_select_machine(irqs: &[u64]) -> Machine {
+    let main = Assembler::new(IsaMode::T2).assemble(IT_SELECT_SRC).unwrap();
+    let handler = Assembler::new(IsaMode::T2).assemble("add r6, r6, #1\n bx lr").unwrap();
+    let mut m = Machine::new(MachineConfig::m3_like());
+    m.load_flash(0x100, &main.bytes);
+    m.load_flash(IRQ_HANDLER, &handler.bytes);
+    m.load_flash(0, &IRQ_HANDLER.to_le_bytes());
+    m.set_pc(0x100);
+    m.cpu.set_sp(SRAM_BASE + 0x8000);
+    for &cycle in irqs {
+        m.schedule_irq(cycle, 0);
+    }
+    m
+}
+
+/// Precise-cycle interrupt plan for the select loop: on every
+/// `stride`-th pass, one interrupt due exactly at the boundary before a
+/// covered entry (alternating the two), so it pends after the `it`
+/// header has loaded the IT queue. Found by stepping a per-step machine
+/// that takes each interrupt as it is planned — a fixed-period sweep
+/// phase-locks with the handler and never reaches the covered entries.
+fn it_select_irq_plan(stride: u32) -> Vec<u64> {
+    let main = Assembler::new(IsaMode::T2).assemble(IT_SELECT_SRC).unwrap();
+    let at = |label: &str| 0x100 + main.symbols[label];
+    let covered = [at("it_then"), at("it_else")];
+    let mut m = it_select_machine(&[]);
+    set_tiers(&mut m, 0);
+    let (mut plan, mut passes, mut armed) = (Vec::new(), 0u32, None);
+    loop {
+        let pc = m.cpu.pc;
+        if pc == at("loop") {
+            passes += 1;
+            armed = (passes % stride == 0).then(|| covered[(passes / stride % 2) as usize]);
+        }
+        if armed == Some(pc) {
+            armed = None;
+            plan.push(m.cycles());
+            m.schedule_irq(m.cycles(), 0);
+        }
+        if let Some(stop) = m.step() {
+            assert_eq!(stop, StopReason::Bkpt(0));
+            return plan;
+        }
+    }
+}
+
+#[test]
+fn it_select_loop_runs_inside_threaded_code() {
+    let (r, all_on) = run_matrix(&|| it_select_machine(&[]), 1_000_000, "it select");
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+    assert_eq!(all_on.cpu.regs[5], 75 * 7 + 75 * 9, "select checksum");
+    let stats = all_on.predecode_stats();
+    assert_eq!(stats.block_instrs, 0, "no block runs entry-at-a-time");
+    // The `it` header no longer ends a block: the whole body, header
+    // and covered entries included, is one lowered block.
+    let hottest = all_on.block_profile()[0];
+    assert_eq!(u64::from(hottest.1), IT_SELECT_BODY, "loop body split at the it header");
+    // Only the prologue with the first pass (recorded as one block from
+    // the entry point), the second pass (recording the body's own
+    // block) and the final `bkpt` run per-step; every later pass,
+    // covered `mov`s included, is threaded.
+    let stepped = r.instructions - stats.threaded_instrs;
+    assert!(
+        stepped <= 3 + 2 * IT_SELECT_BODY + 1,
+        "{stepped} of {} instructions ran per-step",
+        r.instructions
+    );
+}
+
+#[test]
+fn it_select_irq_between_header_and_covered_identical() {
+    let main = Assembler::new(IsaMode::T2).assemble(IT_SELECT_SRC).unwrap();
+    let covered = [0x100 + main.symbols["it_then"], 0x100 + main.symbols["it_else"]];
+    for stride in [3u32, 5, 7] {
+        let what = format!("it select irq every {stride} passes");
+        let plan = it_select_irq_plan(stride);
+        let (r, all_on) = run_matrix(&|| it_select_machine(&plan), 1_000_000, &what);
+        assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
+        assert_eq!(all_on.latencies().len(), plan.len(), "{what}: every planned IRQ taken");
+        let stats = all_on.predecode_stats();
+        assert_eq!(stats.block_instrs, 0, "{what}");
+        assert!(stats.threaded_dispatches > 0, "{what}: never threaded");
+        // Step the per-step reference to prove each covered entry really
+        // had an interrupt taken in front of it.
+        let mut m = it_select_machine(&plan);
+        set_tiers(&mut m, 0);
+        let mut landed = [0u32; 2];
+        loop {
+            let pc = m.cpu.pc;
+            let stop = m.step();
+            if m.cpu.pc == IRQ_HANDLER {
+                if let Some(i) = covered.iter().position(|&c| c == pc) {
+                    landed[i] += 1;
+                }
+            }
+            if let Some(stop) = stop {
+                assert_eq!(stop, StopReason::Bkpt(0), "{what}");
+                break;
+            }
+        }
+        assert_eq!(m.cycles(), r.cycles, "{what}: stepping reference diverged");
+        assert!(landed.iter().all(|&n| n >= 4), "{what}: landings {landed:?}");
+    }
+}
+
+#[test]
+fn it_select_run_until_bounds_identical() {
+    // Prime-stride bounds stop execution at every phase of the body,
+    // including right after the `it` header: the next run enters with
+    // the IT queue non-empty and must take the covered entries
+    // per-step, never through a block that starts there.
+    for stride in [5u64, 7, 11] {
+        let mut base = it_select_machine(&[]);
+        set_tiers(&mut base, 0);
+        let mut on = it_select_machine(&[]);
+        let mut bound = 0;
+        loop {
+            bound += stride;
+            let want = base.run_until(bound);
+            let got = on.run_until(bound);
+            let tag = format!("stride {stride} bound {bound}");
+            assert_eq!(got, want, "{tag}: RunResult diverged");
+            assert_state_eq(&on, &base, &tag);
+            if want.reason != StopReason::CycleLimit {
+                assert_eq!(want.reason, StopReason::Bkpt(0), "{tag}");
+                break;
+            }
+        }
+        assert!(on.predecode_stats().threaded_dispatches > 0, "stride {stride}: never threaded");
+    }
+}
+
+#[test]
+fn it_header_at_block_cap_chains_per_step_identical() {
+    // 60 filler `mov`s put the `ite` header on the 64th entry of the
+    // loop's block (the prologue's `b` makes the body record from
+    // `loop`), so the block is cut at the cap with the IT queue loaded. The successor block starts at the first covered `mov` and
+    // was lowered as if unpredicated: the chain hop must hand the
+    // covered entries to the per-step path instead of dispatching it.
+    let filler = "mov r7, r7\n".repeat(60);
+    let src = format!(
+        "mov r0, #0
+         mov r5, #0
+         b loop
+         loop: add r0, r0, #1
+         {filler}
+         and r4, r0, #1
+         cmp r4, #0
+         ite eq
+         mov r3, #7
+         mov r3, #9
+         add r5, r5, r3
+         cmp r0, #40
+         bne loop
+         bkpt #0"
+    );
+    let (r, all_on) =
+        run_matrix(&|| machine_with(&MachineConfig::m3_like(), &src), 1_000_000, "it at cap");
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+    assert_eq!(all_on.cpu.regs[5], 20 * 7 + 20 * 9, "select checksum");
+    let stats = all_on.predecode_stats();
+    assert!(stats.threaded_dispatches > 0, "the capped block never ran threaded");
+    let main = Assembler::new(IsaMode::T2).assemble(&src).unwrap();
+    let body = all_on.block_profile().into_iter().find(|b| b.0 == 0x100 + main.symbols["loop"]);
+    assert_eq!(body.map(|b| b.1), Some(64), "the loop block must end at the cap");
+}
+
+// ---------------------------------------------------------------------
+// Self-modifying code inside a fused pair of an executing block
 // ---------------------------------------------------------------------
 
 #[test]
 fn smc_inside_fused_pair_of_promoted_block_identical() {
     // Two-phase SRAM program. Phase 1 (the first 12 passes) stores to a
-    // scratch word, so the loop block stays valid, accumulates heat and
-    // is promoted to threaded code. At pass 12 the store target flips
+    // scratch word, so the loop block stays valid and runs as threaded
+    // code. At pass 12 the store target flips
     // to the `patched` instruction — the *first half of the fused
     // `add`+`cmp` pair* later in the same block. The armed store runs
     // inside the threaded block, moves the code-write generation, and
@@ -333,9 +530,8 @@ fn smc_inside_fused_pair_of_promoted_block_identical() {
     let (r, all_on) = run_matrix(&build, 1_000_000, "smc_fused");
     assert_eq!(r.reason, StopReason::Bkpt(0));
     let stats = all_on.predecode_stats();
-    assert!(stats.blocks_promoted > 0, "loop block never promoted");
     assert!(stats.threaded_dispatches > 0, "threaded engine never ran");
-    assert!(stats.demotions > 0, "the armed store must demote the promoted block");
+    assert!(stats.demotions > 0, "the armed store must demote the executing block");
     // Phase 1 runs the original +1; phase 2 alternates the two
     // encodings — at least one +5 must have executed.
     assert!(
@@ -354,7 +550,7 @@ fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
     // Bounded runs park execution mid-block (including mid-fused-pair
     // budget splits); between bounds the host toggles a flash-patch
     // remap over the loop's literal, which moves the generation stamp
-    // and demotes the promoted block. Resuming must refetch under the
+    // and demotes the loop block. Resuming must refetch under the
     // new generation with cycles identical to the all-off interpreter.
     let template = |addr: u32| {
         format!(
@@ -387,13 +583,13 @@ fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
         m
     };
     let mut base = build(0);
-    let mut machines: Vec<Machine> = (1..8).map(build).collect();
+    let mut machines: Vec<Machine> = (1..TIERS).map(build).collect();
     let bounds: Vec<u64> = (1..40).map(|i| 83 * i + (i % 7)).collect();
     for (i, bound) in bounds.iter().enumerate() {
         let want = base.run_until(*bound);
         for (j, m) in machines.iter_mut().enumerate() {
             let got = m.run_until(*bound);
-            let tag = format!("bound[{i}]={bound} combo {:03b}", j + 1);
+            let tag = format!("bound[{i}]={bound} combo {:02b}", j + 1);
             assert_eq!(got, want, "{tag}: RunResult diverged");
             assert_state_eq(m, &base, &tag);
         }
@@ -401,8 +597,8 @@ fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
             break;
         }
         // Toggle only every 8th bound: each toggle moves the stamp and
-        // demotes, so the loop block needs quiet stretches to re-heat
-        // and re-promote between them.
+        // demotes, so the loop block gets quiet stretches to re-record
+        // and run threaded between them.
         if i % 8 == 7 {
             let toggle = |m: &mut Machine| {
                 if i % 16 == 7 {
@@ -419,48 +615,12 @@ fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
     assert_eq!(want.reason, StopReason::Bkpt(0));
     for (j, m) in machines.iter_mut().enumerate() {
         let got = m.run(1_000_000);
-        assert_eq!(got, want, "final run combo {:03b}", j + 1);
+        assert_eq!(got, want, "final run combo {:02b}", j + 1);
         assert_state_eq(m, &base, "final");
     }
-    let stats = machines[6].predecode_stats(); // combo 111
+    let stats = machines[TIERS as usize - 2].predecode_stats(); // combo 11
     assert!(stats.threaded_dispatches > 0, "threaded engine never ran");
-    assert!(stats.demotions > 0, "patch toggles must demote promoted blocks");
-}
-
-#[test]
-fn toggling_threaded_mid_run_matches_disabled() {
-    // Flipping the tier on/off between bounded runs (heat re-warms
-    // after every disable, promoted blocks demote on every disable)
-    // must stay identical to a reference with the tier off for good.
-    // `step()` never enters the block engine, so the toggling is
-    // driven through `run_until` bounds instead.
-    let src = "mov r0, #0
-         mov r2, #2000
-         loop: add r0, r0, #1
-         cmp r0, r2
-         bne loop
-         bkpt #0";
-    let config = MachineConfig::m3_like();
-    let mut toggler = machine_with(&config, src);
-    let mut reference = machine_with(&config, src);
-    reference.set_threaded_enabled(false);
-    let mut stop = None;
-    for chunk in 0..10_000u64 {
-        toggler.set_threaded_enabled(chunk % 3 != 2);
-        let bound = 211 * (chunk + 1);
-        let a = toggler.run_until(bound);
-        let b = reference.run_until(bound);
-        assert_eq!(a, b, "diverged at chunk {chunk}");
-        assert_state_eq(&toggler, &reference, &format!("chunk {chunk}"));
-        if a.reason != StopReason::CycleLimit {
-            stop = Some(a.reason);
-            break;
-        }
-    }
-    assert_eq!(stop, Some(StopReason::Bkpt(0)));
-    let stats = toggler.predecode_stats();
-    assert!(stats.threaded_dispatches > 0, "on-chunks must dispatch threaded blocks");
-    assert!(stats.demotions > 0, "every disable must demote the hot block");
+    assert!(stats.demotions > 0, "patch toggles must demote cached blocks");
 }
 
 // ---------------------------------------------------------------------
@@ -540,23 +700,23 @@ fn device_revision_bump_between_record_and_chained_dispatch_identical() {
     let dev = all_on.bus.device::<RevDevice>().expect("device attached");
     assert_eq!(dev.writes, 40, "every pass must reach the device");
     assert_eq!(all_on.cpu.regs[6], (0..40).sum::<u32>(), "read-back checksum");
-    // The revision moves mid-block, so blocks re-record every pass and
-    // heat never reaches the promotion threshold — the differential
-    // would be vacuous if the engine *did* promote here.
+    // The revision moves mid-pass, so every block recorded in one pass
+    // is cleared by the stamp change before it could be dispatched —
+    // the differential would be vacuous if a stale block *did* run.
     let stats = all_on.predecode_stats();
     assert!(stats.blocks_built > 2, "revision churn must force re-records");
     assert_eq!(
         stats.threaded_dispatches, 0,
-        "a block whose stamp moves every pass must never get hot"
+        "a block whose stamp moves every pass must never be dispatched"
     );
 }
 
 #[test]
 fn host_side_revision_bump_demotes_promoted_block_identical() {
-    // Host-side variant: the loop touches no device, promotes, and
+    // Host-side variant: the loop touches no device, runs threaded, and
     // *then* the host moves the device revision between steps — exactly
     // the window between a block's recording and its next chained
-    // dispatch. The promoted block must be invalidated, not chained.
+    // dispatch. The cached block must be invalidated, not chained.
     let src = "mov r0, #0
          mov r2, #400
          loop: add r0, r0, #1
@@ -566,7 +726,6 @@ fn host_side_revision_bump_demotes_promoted_block_identical() {
     let build = || rev_device_machine(src);
     let mut on = build();
     let mut off = build();
-    off.set_threaded_enabled(false);
     off.set_block_cache_enabled(false);
     let bump = |m: &mut Machine| {
         let d = m.bus.device_mut::<RevDevice>().expect("device attached");
@@ -575,7 +734,7 @@ fn host_side_revision_bump_demotes_promoted_block_identical() {
     };
     let mut stop = None;
     for chunk in 0..10_000u64 {
-        // Long quiet stretches let the loop promote; each bump then
+        // Long quiet stretches let the loop run threaded; each bump then
         // lands between a recording and its next chained dispatch.
         let bound = 449 * (chunk + 1);
         let a = on.run_until(bound);
@@ -591,8 +750,8 @@ fn host_side_revision_bump_demotes_promoted_block_identical() {
     }
     assert_eq!(stop, Some(StopReason::Bkpt(0)));
     let stats = on.predecode_stats();
-    assert!(stats.blocks_promoted > 0, "loop must promote before the first bump");
     assert!(stats.threaded_dispatches > 0, "threaded engine never ran");
+    assert!(stats.demotions > 0, "every bump must demote the loop block");
 }
 
 // ---------------------------------------------------------------------
@@ -602,7 +761,7 @@ fn host_side_revision_bump_demotes_promoted_block_identical() {
 #[test]
 fn matrix_randomized_programs_identical() {
     // The deterministic xorshift ALU corpus from the earlier
-    // differential suites, replayed across all 8 tier combinations.
+    // differential suites, replayed across all 4 tier combinations.
     let mut state = 0x0DDB_A11C_0FFE_E000u64;
     let mut next = move || {
         state ^= state << 13;
@@ -635,7 +794,7 @@ fn matrix_randomized_programs_identical() {
         assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
         assert!(
             all_on.predecode_stats().threaded_dispatches > 0,
-            "{what}: 12 passes must promote the body"
+            "{what}: 12 passes must run the body threaded"
         );
     }
 }
@@ -654,29 +813,22 @@ fn threaded_stats_report_promotion_and_demotion() {
          bkpt #0";
     let config = MachineConfig::m3_like();
     let mut m = machine_with(&config, src);
-    assert!(m.threaded_enabled(), "presets enable the tier by default");
     let r = m.run(1_000_000);
     assert_eq!(r.reason, StopReason::Bkpt(0));
     let stats = m.predecode_stats();
-    assert!(stats.blocks_promoted >= 1, "hot loop must promote");
-    assert!(stats.fused_pairs >= 1, "add+cmp must fuse at promotion");
+    assert!(stats.blocks_built >= 1, "hot loop must be recorded");
+    assert_eq!(stats.blocks_promoted, stats.blocks_built, "every block is lowered when built");
+    assert_eq!(stats.block_instrs, 0, "no block runs entry-at-a-time");
+    assert!(stats.fused_pairs >= 1, "add+cmp must fuse at lowering");
+    assert_eq!(stats.threaded_dispatches, stats.block_hits, "every dispatch is threaded");
     assert!(
-        stats.threaded_dispatches > stats.blocks_promoted,
-        "promoted blocks must dispatch threaded more than once"
+        stats.threaded_dispatches > stats.blocks_built,
+        "lowered blocks must dispatch more than once"
     );
     assert_eq!(stats.demotions, 0, "nothing invalidated this run");
 
-    // Disabling the tier demotes every promoted block.
-    m.set_threaded_enabled(false);
+    // Disabling the block engine demotes every cached block.
+    m.set_block_cache_enabled(false);
     let stats = m.predecode_stats();
-    assert!(stats.demotions >= 1, "disable must demote promoted blocks");
-
-    // With the tier off, a fresh run dispatches zero threaded blocks.
-    let mut m2 = machine_with(&config, src);
-    m2.set_threaded_enabled(false);
-    let r2 = m2.run(1_000_000);
-    assert_eq!(r2, r, "tier off changed the run result");
-    let s2 = m2.predecode_stats();
-    assert_eq!(s2.threaded_dispatches, 0, "disabled tier must not dispatch");
-    assert_eq!(s2.blocks_promoted, 0, "disabled tier must not promote");
+    assert!(stats.demotions >= 1, "disable must demote cached blocks");
 }
