@@ -1,5 +1,6 @@
-//! CI regression gate: diffs the freshly generated `BENCH_9.json`
-//! against the committed `BENCH_8.json` baseline and fails on a >20%
+//! CI regression gate: diffs the freshly generated `BENCH_10.json`
+//! ([`alia_bench::BENCH_JSON`]) against the committed `BENCH_9.json`
+//! baseline ([`alia_bench::BENCH_BASELINE_JSON`]) and fails on a >20%
 //! regression of any shared performance key.
 //!
 //! ```text

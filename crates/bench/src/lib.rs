@@ -86,7 +86,7 @@ pub fn record_bench_json(section: &str, metrics: &[(&str, f64)]) {
     out.push_str("\n}\n");
     match fs::write(BENCH_JSON, &out) {
         Ok(()) => println!("\nrecorded {} metric(s) under '{section}' in {BENCH_JSON}", metrics.len()),
-        Err(e) => println!("\nBENCH_10.json not written ({e}) — continuing"),
+        Err(e) => println!("\n{BENCH_JSON} not written ({e}) — continuing"),
     }
 }
 

@@ -241,7 +241,7 @@ pub fn guest_can_exchange(frames: u32) -> Result<GuestCanExchange, CoreError> {
         timer_fires,
         irqs_taken: m.irq.taken,
         cycles: r.cycles,
-        bus_utilization: can.utilization(),
+        bus_utilization: can.wire().utilization(),
     })
 }
 
@@ -611,9 +611,12 @@ mod tests {
         assert_eq!(e.frames_sent, 8);
         assert_eq!(e.frames_received, 8);
         assert_eq!(e.checksum, guest_can_exchange_checksum(8));
-        assert!(e.timer_fires >= 8, "one send per compare match");
-        assert!(e.irqs_taken >= 16, "timer + RX interrupts both taken");
-        assert!(e.bus_utilization > 0.0);
+        // Exact, so a change to the standalone controller's wire shows:
+        // one send per compare match, timer + RX interrupts both taken.
+        assert_eq!(e.timer_fires, 8);
+        assert_eq!(e.irqs_taken, 16);
+        assert_eq!(e.cycles, 8_450);
+        assert_eq!(e.bus_utilization.to_bits(), 0.330_310_262_529_832_9_f64.to_bits());
         let s = e.to_string();
         assert!(s.contains("guest-driven CAN exchange"));
     }

@@ -1,16 +1,19 @@
 //! Pluggable bus devices: a compare-match timer, a memory-mapped CAN
-//! controller (owned or shared wire) and a countdown watchdog.
+//! controller and a countdown watchdog.
 //!
 //! All are ordinary [`Device`] implementations attached through
 //! [`crate::MachineConfig::devices`]; guest programs drive them purely
 //! with loads and stores, and receive their events as interrupts — no
 //! host-side calls are involved once the machine runs.
 //!
-//! The CAN controller exists in two bindings over the same register map:
-//! an **owned** wire (its private [`alia_can::CanBus`]: loopback and
-//! host-injected traffic, the single-machine mode) and a **shared** wire
-//! ([`SharedCanBus`]): several controllers on different machines attach
-//! to one arbitrating bus, scheduled by [`crate::System`].
+//! The CAN controller always transmits on a [`SharedCanBus`]. A
+//! **standalone** controller ([`CanController::new`]) gets a private one
+//! that only it can reach, and advances it itself: loopback and
+//! host-injected traffic, the single-machine mode. An **attached**
+//! controller ([`CanController::attached`]) shares its wire with
+//! controllers on other machines, and [`crate::System`] advances it.
+//! Either way the controller sees the same wire model, so a program
+//! behaves the same standalone as on a one-node system.
 //!
 //! # Timer register map (word offsets from [`crate::TIMER_BASE`])
 //!
@@ -204,7 +207,9 @@ impl Device for Timer {
 /// advanced only at scheduler quantum boundaries ([`crate::System`]),
 /// never by an attached controller, so arbitration sees every node's
 /// enqueues for a window before deciding a winner and results are
-/// independent of host iteration order.
+/// independent of host iteration order. (A standalone controller,
+/// [`CanController::new`], advances its private wire itself: it is
+/// the wire's only node.)
 ///
 /// Time on the wire is in CAN bit times; `cycles_per_bit` fixes the
 /// core-clock ratio for *every* attached controller (a shared wire has
@@ -488,20 +493,6 @@ pub struct WireStatus {
 // Memory-mapped CAN controller
 // ---------------------------------------------------------------------
 
-/// The wire a [`CanController`] transmits on: privately owned (legacy
-/// single-machine mode) or shared across machines.
-#[derive(Debug, Clone)]
-enum Wire {
-    /// The controller owns its bus: loopback plus host-injected remote
-    /// traffic. The controller runs the bus itself when ticked. Boxed:
-    /// [`CanBus`] carries the fault-confinement state (stations, logs,
-    /// fault plan) and dwarfs the shared-wire handle.
-    Owned(Box<CanBus>),
-    /// Several controllers share one arbitrating wire; only the system
-    /// scheduler advances it.
-    Shared(SharedCanBus),
-}
-
 /// Static configuration of a [`CanController`] device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CanConfig {
@@ -551,14 +542,21 @@ impl Default for CanConfig {
     }
 }
 
-/// A memory-mapped CAN controller wrapping the event-driven
-/// [`alia_can::CanBus`]: guest stores stage and submit TX frames, bus
-/// deliveries land in an RX FIFO and raise the RX interrupt at the
-/// cycle the frame completes on the wire.
-#[derive(Debug, Clone)]
+/// A memory-mapped CAN controller on a [`SharedCanBus`]: guest stores
+/// stage and submit TX frames, wire deliveries land in an RX FIFO and
+/// raise the RX interrupt at the cycle the frame completes on the wire.
+///
+/// The wire is private ([`CanController::new`]) or shared
+/// ([`CanController::attached`]); see [`CanController::wire`].
+#[derive(Debug)]
 pub struct CanController {
     config: CanConfig,
-    wire: Wire,
+    wire: SharedCanBus,
+    /// Whether `wire` is this controller's own, built by
+    /// [`CanController::new`]: the controller advances it, [`crate::System`]
+    /// never adopts it and a clone deep-copies it. Set by the
+    /// constructor only.
+    private: bool,
     tx_id: u32,
     tx_dlc: u32,
     tx_data: [u32; 2],
@@ -584,31 +582,35 @@ pub struct CanController {
 }
 
 impl CanController {
-    /// Builds an idle controller with its own bus instance.
+    /// Builds an idle standalone controller on a private wire of
+    /// `config.cycles_per_bit` (at least 1) that no other controller can
+    /// reach: loopback and host-injected remote traffic
+    /// ([`CanController::host_enqueue`]). The controller advances the
+    /// wire itself whenever it is ticked, and wakes for every wire event
+    /// the [`crate::System`] scheduler would wake an attached controller
+    /// for, so a program behaves exactly as on a one-node system.
     #[must_use]
     pub fn new(config: CanConfig) -> CanController {
-        CanController::with_wire(config, Wire::Owned(Box::new(CanBus::new())))
+        CanController::on_wire(config, SharedCanBus::new(config.cycles_per_bit), true)
     }
 
     /// Builds a controller attached to a shared wire. The wire's bit
     /// rate overrides `config.cycles_per_bit` (one wire, one bit rate);
     /// `config.node` must be unique among the wire's controllers.
     #[must_use]
-    pub fn attached(mut config: CanConfig, wire: &SharedCanBus) -> CanController {
-        config.cycles_per_bit = wire.cycles_per_bit();
-        CanController::with_wire(config, Wire::Shared(wire.clone()))
+    pub fn attached(config: CanConfig, wire: &SharedCanBus) -> CanController {
+        CanController::on_wire(config, wire.clone(), false)
     }
 
-    fn with_wire(config: CanConfig, mut wire: Wire) -> CanController {
+    fn on_wire(mut config: CanConfig, wire: SharedCanBus, private: bool) -> CanController {
+        config.cycles_per_bit = wire.cycles_per_bit();
         // Register the station on its wire so REC tracks observed errors
         // from time zero (mirrors then agree with the bus counters).
-        match &mut wire {
-            Wire::Owned(bus) => bus.register_node(config.node),
-            Wire::Shared(s) => s.register_node(config.node),
-        }
+        wire.register_node(config.node);
         CanController {
             config,
             wire,
+            private,
             tx_id: 0,
             tx_dlc: 0,
             tx_data: [0; 2],
@@ -691,62 +693,29 @@ impl CanController {
         reg.gauge(&format!("{prefix}can.rec"), f64::from(self.rec_mirror));
     }
 
-    /// Whether this controller transmits on a shared wire.
+    /// The wire this controller transmits on, private or shared, for
+    /// inspection: delivery and state logs, utilization, latencies.
     #[must_use]
-    pub fn is_shared(&self) -> bool {
-        matches!(self.wire, Wire::Shared(_))
+    pub fn wire(&self) -> &SharedCanBus {
+        &self.wire
     }
 
-    /// The owned bus, when this controller owns its wire (inspection:
-    /// deliveries, utilization). `None` on a shared wire — use
-    /// [`CanController::shared_bus`] or the mode-independent
-    /// [`CanController::utilization`] / [`CanController::worst_latency`].
-    #[must_use]
-    pub fn can_bus(&self) -> Option<&CanBus> {
-        match &self.wire {
-            Wire::Owned(bus) => Some(bus.as_ref()),
-            Wire::Shared(_) => None,
-        }
-    }
-
-    /// The shared wire handle, when attached to one.
+    /// The wire, when it is shared (built by [`CanController::attached`]);
+    /// `None` for a standalone controller's private wire, which
+    /// [`crate::System`] must never adopt.
     #[must_use]
     pub fn shared_bus(&self) -> Option<&SharedCanBus> {
-        match &self.wire {
-            Wire::Owned(_) => None,
-            Wire::Shared(s) => Some(s),
-        }
+        (!self.private).then_some(&self.wire)
     }
 
-    /// Wire utilization, regardless of binding.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        match &self.wire {
-            Wire::Owned(bus) => bus.utilization(),
-            Wire::Shared(s) => s.utilization(),
-        }
-    }
-
-    /// Worst observed latency for `id` (bit times), regardless of
-    /// binding.
-    #[must_use]
-    pub fn worst_latency(&self, id: CanId) -> Option<u64> {
-        match &self.wire {
-            Wire::Owned(bus) => bus.worst_latency(id),
-            Wire::Shared(s) => s.worst_latency(id),
-        }
-    }
-
-    /// Transmits everything still queued on the wire so utilization and
-    /// latency reports account for frames the guest enqueued through
-    /// the TX registers, not just host-injected traffic — RTA
-    /// comparisons then see guest frames even when a machine halted
-    /// right after `TX_GO`.
+    /// Transmits everything still queued on the wire
+    /// ([`SharedCanBus::settle`]) so utilization and latency reports
+    /// account for frames the guest enqueued through the TX registers,
+    /// not just host-injected traffic — RTA comparisons then see guest
+    /// frames even when a machine halted right after `TX_GO`. On a
+    /// shared wire this settles every attached controller's frames.
     pub fn settle_wire(&mut self) {
-        match &mut self.wire {
-            Wire::Owned(bus) => bus.settle(),
-            Wire::Shared(s) => s.settle(),
-        }
+        self.wire.settle();
     }
 
     /// Whether this controller could put traffic on the wire (or pull a
@@ -757,40 +726,45 @@ impl CanController {
     /// conservative wire lookahead.
     #[must_use]
     pub fn tx_armed(&self) -> bool {
-        match &self.wire {
-            Wire::Owned(bus) => {
-                bus.pending() > 0 || bus.state_log().len() > self.state_seen
-            }
-            Wire::Shared(s) => {
-                // Each cursor trails its own log, so the combined length
-                // exceeds the combined cursors exactly when either log
-                // holds an entry this controller has not examined.
-                let st = s.status();
-                st.pending > 0 || st.log_len > self.deliveries_seen + self.state_seen
-            }
-        }
+        // Each cursor trails its own log, so the combined length exceeds
+        // the combined cursors exactly when either log holds an entry
+        // this controller has not examined.
+        let st = self.wire.status();
+        st.pending > 0 || st.log_len > self.deliveries_seen + self.state_seen
     }
 
-    /// Installs a [`FaultPlan`] on this controller's wire (owned or
-    /// shared — on a shared wire every attached controller sees it).
+    /// Installs a [`FaultPlan`] on this controller's wire, replacing any
+    /// earlier plan. On a shared wire every attached controller sees it;
+    /// a standalone controller arms a tick for the plan's first event (a
+    /// babble enqueue), so the plan acts even on a sleeping guest. Call
+    /// [`crate::Bus::refresh_next_event`] afterwards if the machine is
+    /// mid-run.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        match &mut self.wire {
-            Wire::Owned(bus) => bus.set_fault_plan(plan),
-            Wire::Shared(s) => s.set_fault_plan(plan),
+        self.wire.set_fault_plan(plan);
+        self.arm_next_fault();
+    }
+
+    /// On a private wire, arms a tick at the wire's next fault event —
+    /// a babble enqueue or a bus-off recovery completion — which the
+    /// scheduler pins a boundary to on a shared wire.
+    fn arm_next_fault(&mut self) {
+        if self.private {
+            if let Some(at) = self.wire.status().next_fault {
+                self.poll_at = self.poll_at.min(at);
+            }
         }
     }
 
     /// Rebinds a shared-wire attachment onto the forked copy of its
     /// wire: `from` and `to` are parallel wire sets (the original
     /// system's and the fork's), and the controller's wire is matched
-    /// against `from` by identity. Owned wires (already deep-copied
-    /// with the controller) and wires outside `from` are untouched.
-    /// This is [`crate::System::fork`]'s device walk.
+    /// against `from` by identity. A private wire (never adopted, and
+    /// already deep-copied with the controller) and wires outside
+    /// `from` are untouched. This is [`crate::System::fork`]'s device
+    /// walk.
     pub(crate) fn rebind_shared_wire(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {
-        if let Wire::Shared(s) = &mut self.wire {
-            if let Some(i) = from.iter().position(|w| w.same_wire(s)) {
-                *s = to[i].clone();
-            }
+        if let Some(i) = from.iter().position(|w| w.same_wire(&self.wire)) {
+            self.wire = to[i].clone();
         }
     }
 
@@ -799,10 +773,7 @@ impl CanController {
     /// [`crate::Bus::refresh_next_event`] afterwards if the machine is
     /// mid-run.
     pub fn host_enqueue(&mut self, at_bits: u64, node: usize, frame: CanFrame) {
-        match &mut self.wire {
-            Wire::Owned(bus) => bus.enqueue(at_bits, node, frame),
-            Wire::Shared(s) => s.enqueue(at_bits, node, frame),
-        }
+        self.wire.enqueue(at_bits, node, frame);
         self.poll_at = self.poll_at.min(at_bits.saturating_mul(self.config.cycles_per_bit));
     }
 
@@ -812,30 +783,27 @@ impl CanController {
     /// controller's tick at the arrival cycle of the first delivery —
     /// or own-node error-state transition — it has not yet examined, so
     /// frame reception and error IRQs stay cycle-accurate without the
-    /// controller ever running the wire. Every tick leaves the
+    /// controller ever running a shared wire. Every tick leaves the
     /// controller armed for both, so while the logs do not grow a
     /// further call would change nothing. The caller must follow up
     /// with [`crate::Bus::refresh_next_event`].
     pub fn note_wire_progress(&mut self) {
-        if let Wire::Shared(s) = &self.wire {
-            if let Some(d) = s.delivery(self.deliveries_seen) {
-                let arrival = d.completed_at.saturating_mul(self.config.cycles_per_bit.max(1));
-                self.poll_at = self.poll_at.min(arrival);
-            }
-            if let Some(at) = self.next_own_state_change() {
-                self.poll_at = self.poll_at.min(at);
-            }
+        if let Some(d) = self.wire.delivery(self.deliveries_seen) {
+            let arrival = d.completed_at.saturating_mul(self.config.cycles_per_bit);
+            self.poll_at = self.poll_at.min(arrival);
+        }
+        if let Some(at) = self.next_own_state_change() {
+            self.poll_at = self.poll_at.min(at);
         }
     }
 
-    /// On a shared wire, the core-cycle stamp of this node's first
-    /// state-log entry not yet absorbed.
+    /// The core-cycle stamp of this node's first state-log entry not
+    /// yet absorbed.
     fn next_own_state_change(&self) -> Option<u64> {
-        let Wire::Shared(s) = &self.wire else { return None };
         let mut i = self.state_seen;
-        while let Some(c) = s.state_change(i) {
+        while let Some(c) = self.wire.state_change(i) {
             if c.node == self.config.node {
-                return Some(c.at.saturating_mul(self.config.cycles_per_bit.max(1)));
+                return Some(c.at.saturating_mul(self.config.cycles_per_bit));
             }
             i += 1;
         }
@@ -849,14 +817,9 @@ impl CanController {
     /// real ones at the same stamp). Returns whether an entry stamped
     /// after `up_to` remains.
     fn absorb_state_changes(&mut self, up_to: u64, ctx: &mut DeviceCtx<'_>) -> bool {
-        let cpb = self.config.cycles_per_bit.max(1);
         loop {
-            let c = match &self.wire {
-                Wire::Owned(bus) => bus.state_log().get(self.state_seen).copied(),
-                Wire::Shared(s) => s.state_change(self.state_seen),
-            };
-            let Some(c) = c else { return false };
-            let at = c.at.saturating_mul(cpb);
+            let Some(c) = self.wire.state_change(self.state_seen) else { return false };
+            let at = c.at.saturating_mul(self.config.cycles_per_bit);
             if at > up_to {
                 return true;
             }
@@ -904,22 +867,15 @@ impl CanController {
         })
     }
 
-    /// Advances the controller to `now`: on an owned wire, runs the bus
-    /// first; on a shared wire, only collects (the scheduler runs the
-    /// wire at quantum boundaries). Completed deliveries whose
+    /// Advances the controller to `now`: on a private wire, runs the
+    /// wire first; on a shared wire, only collects (the scheduler runs
+    /// the wire at quantum boundaries). Completed deliveries whose
     /// completion cycle has been reached land in the RX FIFO.
     fn advance(&mut self, now: u64, ctx: &mut DeviceCtx<'_>) {
-        let cpb = self.config.cycles_per_bit.max(1);
-        if let Wire::Owned(bus) = &mut self.wire {
-            bus.run(now / cpb);
-        }
+        let cpb = self.config.cycles_per_bit;
+        let private = self.private.then(|| self.wire.run_to_cycle(now));
         self.poll_at = u64::MAX;
-        loop {
-            let d = match &self.wire {
-                Wire::Owned(bus) => bus.deliveries().get(self.deliveries_seen).copied(),
-                Wire::Shared(s) => s.delivery(self.deliveries_seen),
-            };
-            let Some(d) = d else { break };
+        while let Some(d) = self.wire.delivery(self.deliveries_seen) {
             let arrival = d.completed_at.saturating_mul(cpb);
             if arrival > now {
                 // Completion is still in the future of the core clock;
@@ -977,16 +933,36 @@ impl CanController {
                 self.poll_at = self.poll_at.min(at);
             }
         }
-        if self.poll_at == u64::MAX {
-            if let Wire::Owned(bus) = &self.wire {
-                if bus.pending() > 0 {
-                    // Frames are queued but not yet transmitted
-                    // (arbitration or future enqueue times): poll again
-                    // next bit time. On a shared wire the scheduler
-                    // re-arms us via `note_wire_progress` instead.
-                    self.poll_at = now + cpb;
-                }
+        // A private wire has no scheduler to re-arm the controller (on a
+        // shared wire `note_wire_progress` does): re-arm from the status
+        // of the run above.
+        if let Some(st) = private {
+            if self.poll_at == u64::MAX && st.pending > 0 {
+                // Frames are queued but not yet transmitted (arbitration
+                // or future enqueue times): poll again next bit time.
+                self.poll_at = now + cpb;
             }
+            if let Some(at) = st.next_fault {
+                // The wire acts by itself then. An event due at the bit
+                // the wire just reached happens in the next run past it.
+                self.poll_at = self.poll_at.min(if at > now { at } else { now + cpb });
+            }
+        }
+    }
+}
+
+impl Clone for CanController {
+    /// A private wire is deep-copied ([`SharedCanBus::fork_detached`]),
+    /// so a cloned machine — [`crate::Machine::snapshot`] and
+    /// [`crate::Machine::restore`], [`crate::System::fork`] — never
+    /// shares it with the original. A shared wire's handle is cloned:
+    /// the copy stays on the same wire until
+    /// [`crate::System::fork`] rebinds it.
+    fn clone(&self) -> CanController {
+        CanController {
+            wire: if self.private { self.wire.fork_detached() } else { self.wire.clone() },
+            rx_fifo: self.rx_fifo.clone(),
+            ..*self
         }
     }
 }
@@ -1029,18 +1005,13 @@ impl Device for CanController {
             12 => self.tx_data[1] = value,
             16 => {
                 let frame = self.staged_frame();
-                let cpb = self.config.cycles_per_bit.max(1);
-                match &mut self.wire {
-                    Wire::Owned(bus) => {
-                        bus.enqueue(ctx.now / cpb, self.config.node, frame);
-                        // Transmission progress needs ticks from now on.
-                        self.poll_at = self.poll_at.min(ctx.now + cpb);
-                    }
-                    Wire::Shared(s) => {
-                        // The scheduler runs the wire and re-arms ticks;
-                        // the controller only stages and enqueues.
-                        s.enqueue(ctx.now / cpb, self.config.node, frame);
-                    }
+                let cpb = self.config.cycles_per_bit;
+                self.wire.enqueue(ctx.now / cpb, self.config.node, frame);
+                if self.private {
+                    // Transmission progress needs ticks from now on. On
+                    // a shared wire the scheduler runs the wire and
+                    // re-arms ticks instead.
+                    self.poll_at = self.poll_at.min(ctx.now + cpb);
                 }
                 self.tx_count += 1;
             }
@@ -1051,13 +1022,8 @@ impl Device for CanController {
                 // ERR_RECOVER: request bus-off recovery at the current
                 // cycle; the wire rejoins the node (counters cleared,
                 // error IRQ raised) once the recovery interval elapses.
-                let at_bits = ctx.now / self.config.cycles_per_bit.max(1);
-                match &mut self.wire {
-                    Wire::Owned(bus) => bus.request_recovery(self.config.node, at_bits),
-                    Wire::Shared(s) => {
-                        s.request_recovery(self.config.node, ctx.now);
-                    }
-                }
+                self.wire.request_recovery(self.config.node, ctx.now);
+                self.arm_next_fault();
             }
             64 => self.filter_id = value,
             68 => self.filter_mask = value,

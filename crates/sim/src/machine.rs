@@ -84,8 +84,11 @@ pub struct IrqLatency {
 pub enum DeviceSpec {
     /// A compare-match [`Timer`].
     Timer(TimerConfig),
-    /// A memory-mapped [`CanController`] owning its private bus
-    /// (loopback / host-injected traffic).
+    /// A standalone memory-mapped [`CanController`]
+    /// ([`CanController::new`]) on a private wire that it advances
+    /// itself (loopback / host-injected traffic). [`crate::System`]
+    /// never adopts that wire, and it behaves as a one-node
+    /// [`DeviceSpec::SharedCan`] wire would.
     Can(CanConfig),
     /// A memory-mapped [`CanController`] attached to a shared wire:
     /// several machines' controllers arbitrate on one
@@ -496,10 +499,11 @@ impl Machine {
     /// point — including snapshots taken mid-block or inside a parked
     /// WFI sleep.
     ///
-    /// A controller on a [`crate::SharedCanBus`] keeps its binding to
-    /// the *same* wire (the handle is the attachment, not the state);
-    /// use [`crate::System::fork`] to fork a whole topology onto
-    /// detached wire copies.
+    /// A controller attached to a shared [`crate::SharedCanBus`] keeps
+    /// its binding to the *same* wire (the handle is the attachment, not
+    /// the state); use [`crate::System::fork`] to fork a whole topology
+    /// onto detached wire copies. A standalone controller's private
+    /// wire is copied with the machine.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot { state: Box::new(self.clone()) }
